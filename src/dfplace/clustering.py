@@ -43,13 +43,6 @@ class ClusteredNetlist:
     def cluster_of(self, inst_id: int) -> int:
         return self.instance_to_cluster[inst_id]
 
-    def macro_cluster_ids(self, include_io: bool = True) -> list[int]:
-        return [
-            c.id
-            for c in self.clusters
-            if c.kind == MACRO_CLUSTER and (include_io or not c.is_io)
-        ]
-
     def cell_cluster_ids(self) -> list[int]:
         return [c.id for c in self.clusters if c.kind == CELL_CLUSTER]
 

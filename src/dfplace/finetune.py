@@ -19,21 +19,19 @@ from dataclasses import dataclass
 from .dataflow import MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowGraph
 from .errors import EmptyCluster
 from .metrics import total_hpwl
-from .placer import Floorplan
+from .placer import ORIENT_FLAGS, Floorplan
 
 DEFAULT_ALPHA = 0.55
 DEFAULT_BETA = 0.30
 DEFAULT_GAMMA = 0.15
 
-# orientation composition: each mode is a (mirror_x, mirror_y) pair; applying
-# a flip XORs the flags (double flip restores the original exactly)
-_FLAGS = {"N": (0, 0), "FS": (1, 0), "FN": (0, 1), "S": (1, 1)}
-_NAMES = {v: k for k, v in _FLAGS.items()}
-
 
 def compose_orientation(current: str, flip: str) -> str:
-    a, b = _FLAGS[current], _FLAGS[flip]
-    return _NAMES[(a[0] ^ b[0], a[1] ^ b[1])]
+    """Orientation after applying ``flip``: the mirror flags XOR, so a double
+    flip restores the original exactly."""
+    a, b = ORIENT_FLAGS[current], ORIENT_FLAGS[flip]
+    flags = (a[0] ^ b[0], a[1] ^ b[1])
+    return next(name for name, f in ORIENT_FLAGS.items() if f == flags)
 
 
 @dataclass(frozen=True)

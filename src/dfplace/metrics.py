@@ -17,6 +17,9 @@ from .dataflow import CC, MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowGraph
 from .errors import EmptyPointSet
 from .placer import Floorplan, LossBreakdown
 
+# edges deposited per matrix product; bounds the [block, bins] share arrays
+EDGE_BLOCK = 256
+
 
 def hpwl(points) -> float:
     """Half-perimeter wirelength of a point set's bounding box."""
@@ -28,25 +31,18 @@ def hpwl(points) -> float:
     return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
 
-def _edge_endpoints(fp: Floorplan, edge):
-    return fp.reference_point(edge.src), fp.reference_point(edge.dst)
-
-
 def total_hpwl(fp: Floorplan, graph: DataflowGraph) -> float:
     """Unweighted sum of edge HPWLs over every evaluated dataflow edge."""
-    t = 0.0
-    for e in graph.edges:
-        a, b = _edge_endpoints(fp, e)
-        t += abs(a[0] - b[0]) + abs(a[1] - b[1])
-    return t
+    return category_hpwl(fp, graph)["total"]
 
 
 def category_hpwl(fp: Floorplan, graph: DataflowGraph) -> dict[str, float]:
     """HPWL sums keyed by category: mm (direct+indirect), mc, cc, mcc, total."""
     sums = {MM_DIRECT: 0.0, MM_INDIRECT: 0.0, MC: 0.0, CC: 0.0, MCC: 0.0}
-    for e in graph.edges:
-        a, b = _edge_endpoints(fp, e)
-        sums[e.kind] += abs(a[0] - b[0]) + abs(a[1] - b[1])
+    ends = fp.edge_endpoints(graph)
+    lengths = np.abs(ends[:, 0] - ends[:, 2]) + np.abs(ends[:, 1] - ends[:, 3])
+    for e, h in zip(graph.edges, lengths.tolist()):
+        sums[e.kind] += h
     return {
         "mm": sums[MM_DIRECT] + sums[MM_INDIRECT],
         "mc": sums[MC],
@@ -79,8 +75,16 @@ def _axis_edges(extent: float, bin_size: float) -> np.ndarray:
     return edges
 
 
-def _containing_bin(edges: np.ndarray, v: float) -> int:
-    return int(np.clip(np.searchsorted(edges, v, side="right") - 1, 0, len(edges) - 2))
+def _axis_share(edges: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``[B, bins]`` share of each span [lo, hi] per bin; a zero-length span is
+    one-hot on the bin holding it (the last bin for a point on the far edge)."""
+    span = hi - lo
+    overlap = np.minimum(edges[1:], hi[:, None]) - np.maximum(edges[:-1], lo[:, None])
+    share = np.clip(overlap, 0.0, None) / np.where(span > 0, span, 1.0)[:, None]
+    point = np.flatnonzero(span == 0)
+    held = np.searchsorted(edges, lo[point], side="right") - 1
+    share[point, np.clip(held, 0, len(edges) - 2)] = 1.0
+    return share
 
 
 def congestion(
@@ -94,7 +98,9 @@ def congestion(
     Each edge spreads weight * HPWL uniformly over its bounding box; a bin
     receives the overlapped share divided by its own area, so demand is a
     density.  Degenerate boxes (zero width or height) spread along their
-    segment; zero-extent edges deposit nothing (their HPWL is zero).
+    segment; zero-extent edges deposit nothing (their HPWL is zero).  The
+    density is separable per axis, so a block of edges deposits
+    ``(share_y * weight * hpwl)^T @ share_x`` in one product.
     """
     if bin_size <= 0:
         raise ValueError(f"bin_size must be positive, got {bin_size}")
@@ -109,27 +115,18 @@ def congestion(
         np.outer(np.diff(ye), np.diff(xe)), 1e-300
     )
 
-    for e in graph.edges:
-        (x1, y1), (x2, y2) = _edge_endpoints(fp, e)
-        lo_x, hi_x = min(x1, x2), max(x1, x2)
-        lo_y, hi_y = min(y1, y2), max(y1, y2)
-        h = (hi_x - lo_x) + (hi_y - lo_y)
-        total = e.weight * h
-        if total <= 0.0:
-            continue
-        ox = np.clip(np.minimum(xe[1:], hi_x) - np.maximum(xe[:-1], lo_x), 0.0, None)
-        oy = np.clip(np.minimum(ye[1:], hi_y) - np.maximum(ye[:-1], lo_y), 0.0, None)
-        if hi_x > lo_x and hi_y > lo_y:
-            share = np.outer(oy, ox) / ((hi_x - lo_x) * (hi_y - lo_y))
-        elif hi_x > lo_x:  # horizontal segment
-            row = np.zeros(ny)
-            row[_containing_bin(ye, lo_y)] = 1.0
-            share = np.outer(row, ox / (hi_x - lo_x))
-        else:  # vertical segment
-            col = np.zeros(nx)
-            col[_containing_bin(xe, lo_x)] = 1.0
-            share = np.outer(oy / (hi_y - lo_y), col)
-        demand += total * share / bin_area
+    ends = fp.edge_endpoints(graph)
+    lo = np.minimum(ends[:, :2], ends[:, 2:])
+    hi = np.maximum(ends[:, :2], ends[:, 2:])
+    total = np.array([e.weight for e in graph.edges], dtype=float) * (hi - lo).sum(axis=1)
+    keep = total > 0.0
+    lo, hi, total = lo[keep], hi[keep], total[keep]
+    for start in range(0, len(total), EDGE_BLOCK):
+        b = slice(start, start + EDGE_BLOCK)
+        share_x = _axis_share(xe, lo[b, 0], hi[b, 0])
+        share_y = _axis_share(ye, lo[b, 1], hi[b, 1])
+        demand += (share_y * total[b, None]).T @ share_x
+    demand /= bin_area
 
     capacity = np.full((ny, nx), float(capacity_per_bin))
     grid = CongestionGrid(demand, capacity, bin_size, xe, ye)
@@ -163,6 +160,8 @@ class RunReport:
     loss: LossBreakdown
     timings: dict[str, float] = field(default_factory=dict)
     flip_log: tuple = ()
+    # the grid behind congestion_overflow, capacity set; not serialized
+    congestion_grid: CongestionGrid | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self, include_timings: bool = True) -> dict:
         d = {
@@ -256,4 +255,5 @@ def emit_report(
         loss=loss if loss is not None else LossBreakdown(),
         timings=dict(timings or {}),
         flip_log=tuple(flip_log),
+        congestion_grid=grid,
     )

@@ -31,6 +31,19 @@ def _from_dict(cls, data: dict, where: str):
     return cls(**data)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_count(v, least: int = 0) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _check(ok: bool, message: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{message}, got {value!r}")
+
+
 @dataclass
 class ClusteringConfig:
     min_cells: int = 50
@@ -141,6 +154,18 @@ class PipelineConfig:
         if cfg.verilog is not None and cfg.geometry is None:
             raise ConfigError("verilog input needs a 'geometry' sidecar")
         cfg.loss.placer_config()  # validate variant early
+        # an unbounded schedule (cooling or t_min_ratio outside (0, 1)) would
+        # anneal forever, so every value is checked before any stage runs
+        for name in ("cooling", "t_min_ratio"):
+            v = getattr(cfg.sa, name)
+            _check(_is_number(v) and 0 < v < 1, f"sa.{name} must be a number in (0, 1)", v)
+        for name in ("moves_per_temp", "rounds"):
+            v = getattr(cfg.sa, name)
+            _check(_is_count(v), f"sa.{name} must be a non-negative int", v)
+        m = cfg.metrics
+        _check(_is_count(m.bins, 1), "metrics.bins must be an int >= 1", m.bins)
+        _check(m.capacity == "auto" or (_is_number(m.capacity) and m.capacity > 0),
+               "metrics.capacity must be 'auto' or a number > 0", m.capacity)
         return cfg
 
 
@@ -350,9 +375,7 @@ def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineRe
         write("run.report.txt", res.report.to_text())
         write("run.report.json", res.report.to_json(include_timings=False))
         if config.metrics.dump_grid:
-            grid, _ = metrics.congestion(fp, res.graph, bin_size,
-                                         res.report.congestion_capacity)
-            write("run.congestion.csv", metrics.demand_csv(grid))
+            write("run.congestion.csv", metrics.demand_csv(res.report.congestion_grid))
 
     stage_fns = {
         "parse": parse_stage,

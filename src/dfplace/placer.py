@@ -35,13 +35,16 @@ class MacroShape:
     height: float
     pins: tuple[tuple[float, float], ...]
 
-    @property
-    def pin_center(self) -> tuple[float, float]:
+    def pin_offset(self, orientation: str = "N") -> tuple[float, float]:
+        """Pin center relative to the lower-left corner, mirrored per
+        ``ORIENT_FLAGS[orientation]``; the footprint center when pinless."""
         if not self.pins:
-            return (self.width / 2.0, self.height / 2.0)
-        sx = sum(p[0] for p in self.pins)
-        sy = sum(p[1] for p in self.pins)
-        return (sx / len(self.pins), sy / len(self.pins))
+            cx, cy = self.width / 2.0, self.height / 2.0
+        else:
+            cx = sum(p[0] for p in self.pins) / len(self.pins)
+            cy = sum(p[1] for p in self.pins) / len(self.pins)
+        mx, my = ORIENT_FLAGS[orientation]
+        return (self.width - cx if mx else cx, self.height - cy if my else cy)
 
 
 @dataclass
@@ -55,16 +58,7 @@ class MacroPlacement:
 
     def pin_center(self) -> tuple[float, float]:
         """Absolute pin center under the current orientation."""
-        if not self.pins:
-            cx, cy = self.width / 2.0, self.height / 2.0
-        else:
-            cx = sum(p[0] for p in self.pins) / len(self.pins)
-            cy = sum(p[1] for p in self.pins) / len(self.pins)
-        mx, my = ORIENT_FLAGS[self.orientation]
-        if mx:
-            cx = self.width - cx
-        if my:
-            cy = self.height - cy
+        cx, cy = MacroShape(self.width, self.height, self.pins).pin_offset(self.orientation)
         return (self.x + cx, self.y + cy)
 
     def center(self) -> tuple[float, float]:
@@ -90,6 +84,14 @@ class Floorplan:
         if p is not None:
             return p
         raise UnplacedCluster(f"cluster {cid} has no position in the floorplan")
+
+    def edge_endpoints(self, graph: DataflowGraph) -> np.ndarray:
+        """``[E, 4]`` array of (x1, y1, x2, y2): the reference points of each
+        edge's src and dst, in edge order; each cluster is resolved once."""
+        ids = dict.fromkeys(cid for e in graph.edges for cid in (e.src, e.dst))
+        at = {cid: self.reference_point(cid) for cid in ids}
+        rows = [(*at[e.src], *at[e.dst]) for e in graph.edges]
+        return np.array(rows, dtype=float).reshape(len(rows), 4)
 
 
 def io_anchor_positions(cn: ClusteredNetlist, outline: tuple[float, float]) -> dict[int, tuple[float, float]]:
@@ -236,31 +238,20 @@ _MM_CAT, _MC_CAT, _MCC_CAT = 0, 1, 2
 class _LossEvaluator:
     """Precompiled edge terms for fast repeated loss evaluation.
 
-    Macro endpoints are symbolic indices resolved against the candidate
-    positions; everything else (cell clusters, IO anchors) is folded into
-    fixed points at build time.
+    Macro endpoints (the keys of ``shapes``) are symbolic indices resolved
+    against the candidate positions; every other endpoint is folded into a
+    fixed point at build time through ``fp.reference_point``.
     """
 
-    def __init__(self, graph, shapes, cluster_positions, io_anchors, area_scale, config, outline):
-        self.outline = outline
+    def __init__(self, graph, shapes, fp, area_scale, config):
+        self.outline = fp.outline
         self.config = config
         self.ids = sorted(shapes)
         self.index = {cid: i for i, cid in enumerate(self.ids)}
         self.widths = [shapes[c].width for c in self.ids]
         self.heights = [shapes[c].height for c in self.ids]
-        self.pcx = [shapes[c].pin_center[0] for c in self.ids]
-        self.pcy = [shapes[c].pin_center[1] for c in self.ids]
-
-        def resolve(cid):
-            i = self.index.get(cid)
-            if i is not None:
-                return i, 0.0, 0.0
-            p = cluster_positions.get(cid)
-            if p is None:
-                p = io_anchors.get(cid)
-            if p is None:
-                raise UnplacedCluster(f"cluster {cid} has no position")
-            return -1, p[0], p[1]
+        self.pcx = [shapes[c].pin_offset()[0] for c in self.ids]
+        self.pcy = [shapes[c].pin_offset()[1] for c in self.ids]
 
         self.terms = []  # (category, coef, i1, fx1, fy1, i2, fx2, fy2)
         for e in graph.edges:
@@ -277,9 +268,11 @@ class _LossEvaluator:
                 )
             else:
                 continue
-            i1, fx1, fy1 = resolve(e.src)
-            i2, fx2, fy2 = resolve(e.dst)
-            self.terms.append((cat, coef, i1, fx1, fy1, i2, fx2, fy2))
+            ends = []
+            for cid in (e.src, e.dst):
+                i = self.index.get(cid)
+                ends += (i, 0.0, 0.0) if i is not None else (-1, *fp.reference_point(cid))
+            self.terms.append((cat, coef, *ends))
         self.dyn_terms = [t for t in self.terms if t[1] != 0.0 and (t[2] >= 0 or t[5] >= 0)]
         self.const_loss = sum(
             t[1] * (abs(t[3] - t[6]) + abs(t[4] - t[7]))
@@ -302,9 +295,8 @@ class _LossEvaluator:
                 boundary += max(0.0, min(x, y, W - x - w, H - y - h))
         return cfg.outline_weight * outline, cfg.push_boundary_weight * boundary
 
-    def total(self, mx, my, pcx=None, pcy=None) -> float:
-        pcx = self.pcx if pcx is None else pcx
-        pcy = self.pcy if pcy is None else pcy
+    def total(self, mx, my) -> float:
+        pcx, pcy = self.pcx, self.pcy
         t = self.const_loss
         for cat, coef, i1, fx1, fy1, i2, fx2, fy2 in self.dyn_terms:
             if i1 >= 0:
@@ -352,21 +344,15 @@ def compute_loss(fp: Floorplan, graph: DataflowGraph, area_scale: dict[int, floa
                  config: PlacerConfig = PlacerConfig()) -> LossBreakdown:
     """Dataflow-weighted loss of a placed floorplan (see LossBreakdown fields)."""
     shapes = {
-        cid: MacroShape(mp.width, mp.height, _oriented_pins(mp))
+        cid: MacroShape(mp.width, mp.height, mp.pins)
         for cid, mp in fp.macro_placements.items()
     }
-    ev = _LossEvaluator(graph, shapes, fp.cluster_positions, fp.io_anchors,
-                        area_scale, config, fp.outline)
-    mx = [fp.macro_placements[c].x for c in ev.ids]
-    my = [fp.macro_placements[c].y for c in ev.ids]
-    return ev.breakdown(mx, my)
-
-
-def _oriented_pins(mp: MacroPlacement) -> tuple[tuple[float, float], ...]:
-    fx, fy = ORIENT_FLAGS[mp.orientation]
-    return tuple(
-        (mp.width - px if fx else px, mp.height - py if fy else py)
-        for px, py in mp.pins
+    ev = _LossEvaluator(graph, shapes, fp, area_scale, config)
+    placed = [fp.macro_placements[c] for c in ev.ids]
+    offsets = [shapes[c].pin_offset(mp.orientation) for c, mp in zip(ev.ids, placed)]
+    return ev.breakdown(
+        [mp.x for mp in placed], [mp.y for mp in placed],
+        [o[0] for o in offsets], [o[1] for o in offsets],
     )
 
 
@@ -514,7 +500,8 @@ def run_sa(
     sizes = [(shapes[c].width, shapes[c].height) for c in ids]
     area_scale = macro_area_scales(cn)
     anchors = io_anchor_positions(cn, outline)
-    ev = _LossEvaluator(graph, shapes, cluster_positions, anchors, area_scale, config, outline)
+    fixed = Floorplan(outline, {}, cluster_positions, anchors)
+    ev = _LossEvaluator(graph, shapes, fixed, area_scale, config)
 
     if sorted(initial_sp.pos) != list(range(n)) or sorted(initial_sp.neg) != list(range(n)):
         raise BadPermutation(f"pos/neg must both permute 0..{n - 1}")

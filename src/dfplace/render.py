@@ -4,10 +4,7 @@ markers, cluster centers, optional dataflow edges and congestion heat."""
 from __future__ import annotations
 
 from .metrics import CongestionGrid
-from .placer import Floorplan
-
-# corner holding the orientation marker triangle, before mirroring
-_MARKER_CORNER = {"N": (0, 0), "FS": (1, 0), "FN": (0, 1), "S": (1, 1)}
+from .placer import ORIENT_FLAGS, Floorplan
 
 
 def _fmt(v: float) -> str:
@@ -71,13 +68,11 @@ def render_svg(
     if show_edges and graph is not None:
         peak_w = max((e.weight for e in graph.edges), default=1.0) or 1.0
         parts.append('<g class="edges">')
-        for e in graph.edges:
-            a = fp.reference_point(e.src)
-            b = fp.reference_point(e.dst)
+        for e, (x1, y1, x2, y2) in zip(graph.edges, fp.edge_endpoints(graph).tolist()):
             sw = 0.3 + 2.2 * (e.weight / peak_w)
             parts.append(
-                f'<line x1="{px(a[0])}" y1="{py(a[1])}" x2="{px(b[0])}" '
-                f'y2="{py(b[1])}" stroke="#69c" stroke-width="{sw:.3f}" '
+                f'<line x1="{px(x1)}" y1="{py(y1)}" x2="{px(x2)}" '
+                f'y2="{py(y2)}" stroke="#69c" stroke-width="{sw:.3f}" '
                 f'stroke-opacity="0.5"/>'
             )
         parts.append("</g>")
@@ -85,7 +80,7 @@ def render_svg(
     for cid in sorted(fp.macro_placements):
         mp = fp.macro_placements[cid]
         label = names.get(cid, f"macro{cid}")
-        cx, cy = _MARKER_CORNER[mp.orientation]
+        cx, cy = ORIENT_FLAGS[mp.orientation]
         tx = mp.x + cx * mp.width
         ty = mp.y + cy * mp.height
         s = min(mp.width, mp.height) * 0.25

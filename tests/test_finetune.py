@@ -12,7 +12,8 @@ from dfplace import (
 from dfplace.dataflow import CC, MC, MCC, MM_DIRECT, DataflowEdge, DataflowGraph
 from dfplace.errors import EmptyCluster
 from dfplace.finetune import FlipVector, compose_orientation
-from dfplace.placer import Floorplan, MacroPlacement
+from dfplace.metrics import category_hpwl
+from dfplace.placer import Floorplan, MacroPlacement, compute_loss
 
 
 def test_geometric_center():
@@ -262,6 +263,18 @@ def test_guarded_pass_never_raises_hpwl(seed):
     after = total_hpwl(fp, g)
     assert after <= before + 1e-9
     assert len(log) == len(fp.macro_placements)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_loss_wirelength_matches_hpwl_after_flips(seed):
+    # loss and report read one pin-center rule, mirrored pins included
+    fp, g = random_flip_scene(seed + 900)
+    log = run_flipping_pass(fp, g, guard=False)
+    assert any(d.applied for d in log)
+    loss = compute_loss(fp, g, {})
+    cats = category_hpwl(fp, g)
+    # no MM_indirect edges here, so both sum each class in edge order
+    assert (loss.wl_mm, loss.wl_mc, loss.wl_mcc) == (cats["mm"], cats["mc"], cats["mcc"])
 
 
 @pytest.mark.parametrize("seed", range(15))

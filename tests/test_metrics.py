@@ -96,6 +96,20 @@ def test_degenerate_segments_deposit_along_line():
     assert grid.demand[0, 0] == pytest.approx(grid.demand[0, 1])
 
 
+@pytest.mark.parametrize("ends", [
+    ((7.5, 1.0), (7.5, 9.0)),    # vertical, inside the right column
+    ((1.0, 10.0), (9.0, 10.0)),  # on the outline's top edge: last row
+    ((10.0, 1.0), (10.0, 9.0)),  # on the outline's right edge: last column
+], ids=["vertical", "top_edge", "right_edge"])
+def test_degenerate_segments_match_brute_force(ends):
+    fp = Floorplan((10.0, 10.0), {}, dict(enumerate(ends)), {})
+    g = DataflowGraph((DataflowEdge(CC, 0, 1, 2.0, 2),))
+    grid, _ = congestion(fp, g, bin_size=5.0, capacity_per_bin=1.0)
+    want = congestion_deposit_brute(fp, g, grid.x_edges.tolist(), grid.y_edges.tolist())
+    assert np.allclose(grid.demand, np.array(want), rtol=1e-12, atol=0.0)
+    assert float(grid.demand.sum()) * 25.0 == pytest.approx(2.0 * 8.0)
+
+
 def test_zero_length_edge_deposits_nothing():
     fp = Floorplan((10.0, 10.0), {}, {0: (3.0, 3.0), 1: (3.0, 3.0)}, {})
     g = DataflowGraph((DataflowEdge(CC, 0, 1, 9.0, 9),))

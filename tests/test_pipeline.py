@@ -221,6 +221,25 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert cli_main(["place", str(path)]) == 2
 
 
+@pytest.mark.parametrize("section,values", [
+    ("sa", {"cooling": 1.0}),  # never cools below t_min
+    ("sa", {"cooling": "0.9"}),
+    ("sa", {"t_min_ratio": 0.0}),
+    ("sa", {"moves_per_temp": -1}),
+    ("sa", {"rounds": 1.5}),
+    ("metrics", {"bins": "x"}),
+    ("metrics", {"bins": 0}),
+    ("metrics", {"capacity": -1}),
+    ("metrics", {"capacity": "none"}),
+])
+def test_cli_bad_config_value_exit_code(tmp_path, section, values):
+    cfg = fast_config(tmp_path)
+    cfg[section] = {**cfg.get(section, {}), **values}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["place", str(path)]) == 2
+
+
 def test_cli_missing_config_exit_code(tmp_path):
     assert cli_main(["place", str(tmp_path / "nope.json")]) == 3
 
