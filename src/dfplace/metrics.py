@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -239,6 +240,10 @@ def emit_report(
     ``capacity="auto"`` calibrates on this run's own grid so roughly 10% of
     bins overflow; pass a number to compare runs against a fixed budget.
     """
+    if capacity != "auto" and not (
+        isinstance(capacity, Real) and not isinstance(capacity, bool) and capacity > 0
+    ):
+        raise ValueError(f"capacity must be 'auto' or a number > 0, got {capacity!r}")
     cats = category_hpwl(fp, graph)
     if bin_size is None:
         bin_size = max(fp.outline) / 32.0

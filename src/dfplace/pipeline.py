@@ -35,13 +35,31 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_count(v, least: int = 0) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _check(ok: bool, message: str, value) -> None:
     if not ok:
         raise ConfigError(f"{message}, got {value!r}")
+
+
+# annotation as written (annotations are postponed here) -> (test, what the
+# value must be)
+_FIELD_TYPES = {
+    "int": (_is_int, "an int"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+}
+
+
+def _check_types(obj, where: str) -> None:
+    """Check every ``int``, ``float`` and ``bool`` field of a config dataclass."""
+    for f in fields(obj):
+        rule = _FIELD_TYPES.get(f.type)
+        if rule is not None:
+            v = getattr(obj, f.name)
+            _check(rule[0](v), f"{where}{f.name} must be {rule[1]}", v)
 
 
 @dataclass
@@ -154,16 +172,26 @@ class PipelineConfig:
         if cfg.verilog is not None and cfg.geometry is None:
             raise ConfigError("verilog input needs a 'geometry' sidecar")
         cfg.loss.placer_config()  # validate variant early
+        _check_types(cfg, "")
+        for name in sections:
+            _check_types(getattr(cfg, name), f"{name}.")
+        sa, m = cfg.sa, cfg.metrics
         # an unbounded schedule (cooling or t_min_ratio outside (0, 1)) would
         # anneal forever, so every value is checked before any stage runs
         for name in ("cooling", "t_min_ratio"):
-            v = getattr(cfg.sa, name)
-            _check(_is_number(v) and 0 < v < 1, f"sa.{name} must be a number in (0, 1)", v)
+            v = getattr(sa, name)
+            _check(0 < v < 1, f"sa.{name} must be in (0, 1)", v)
         for name in ("moves_per_temp", "rounds"):
-            v = getattr(cfg.sa, name)
-            _check(_is_count(v), f"sa.{name} must be a non-negative int", v)
-        m = cfg.metrics
-        _check(_is_count(m.bins, 1), "metrics.bins must be an int >= 1", m.bins)
+            v = getattr(sa, name)
+            _check(v >= 0, f"sa.{name} must be >= 0", v)
+        _check(sa.t0_factor > 0, "sa.t0_factor must be > 0", sa.t0_factor)
+        _check(cfg.gp.iterations >= 0, "gp.iterations must be >= 0", cfg.gp.iterations)
+        # the loss scales and weights become the SA evaluator's coefficients
+        for f in fields(cfg.loss):
+            if f.type == "float":
+                v = getattr(cfg.loss, f.name)
+                _check(v >= 0, f"loss.{f.name} must be >= 0", v)
+        _check(m.bins >= 1, "metrics.bins must be >= 1", m.bins)
         _check(m.capacity == "auto" or (_is_number(m.capacity) and m.capacity > 0),
                "metrics.capacity must be 'auto' or a number > 0", m.capacity)
         return cfg

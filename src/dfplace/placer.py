@@ -141,36 +141,33 @@ def macro_shapes(cn: ClusteredNetlist) -> dict[int, MacroShape]:
 # Sequence-pair decoding
 # ---------------------------------------------------------------------------
 
-def _decode_sp(pos, neg, sizes) -> tuple[list[float], list[float]]:
-    n = len(sizes)
-    neg_rank = [0] * n
+def _decode_sp(pos, neg, widths, heights) -> tuple[list[float], list[float], float, float]:
+    """Lower-left coordinates of each macro plus the packing's bounding box
+    (width, height).
+
+    Macros are visited in ``pos`` order for x (reverse order for y); of those
+    already visited, the ones earlier in ``neg`` are exactly the ones to the
+    left (below).  ``right[r + 1]`` (``top[r + 1]``) holds the right (top)
+    edge of the visited macro at ``neg`` rank r and 0 otherwise, so each
+    coordinate is the largest edge up to the macro's own rank.
+    """
+    n = len(pos)
+    rank = [0] * n
     for r, v in enumerate(neg):
-        neg_rank[v] = r
+        rank[v] = r
     xs = [0.0] * n
-    for bi in range(n):
-        b = pos[bi]
-        best = 0.0
-        nb = neg_rank[b]
-        for ai in range(bi):
-            a = pos[ai]
-            if neg_rank[a] < nb:
-                cand = xs[a] + sizes[a][0]
-                if cand > best:
-                    best = cand
-        xs[b] = best
+    right = [0.0] * (n + 1)
+    for b in pos:
+        r = rank[b]
+        xs[b] = x = max(right[:r + 1])
+        right[r + 1] = x + widths[b]
     ys = [0.0] * n
-    for ai in range(n - 1, -1, -1):
-        a = pos[ai]
-        best = 0.0
-        na = neg_rank[a]
-        for ci in range(ai + 1, n):
-            b = pos[ci]
-            if neg_rank[b] < na:
-                cand = ys[b] + sizes[b][1]
-                if cand > best:
-                    best = cand
-        ys[a] = best
-    return xs, ys
+    top = [0.0] * (n + 1)
+    for a in reversed(pos):
+        r = rank[a]
+        ys[a] = y = max(top[:r + 1])
+        top[r + 1] = y + heights[a]
+    return xs, ys, max(right), max(top)
 
 
 def evaluate_sequence_pair(sp: SequencePair, sizes) -> tuple[list[float], list[float]]:
@@ -184,7 +181,8 @@ def evaluate_sequence_pair(sp: SequencePair, sizes) -> tuple[list[float], list[f
     n = len(sizes)
     if sorted(sp.pos) != list(range(n)) or sorted(sp.neg) != list(range(n)):
         raise BadPermutation(f"pos/neg must both permute 0..{n - 1}")
-    return _decode_sp(sp.pos, sp.neg, sizes)
+    xs, ys, _, _ = _decode_sp(sp.pos, sp.neg, [w for w, _ in sizes], [h for _, h in sizes])
+    return xs, ys
 
 
 def normalize_macro_area(areas) -> list[float]:
@@ -240,7 +238,11 @@ class _LossEvaluator:
 
     Macro endpoints (the keys of ``shapes``) are symbolic indices resolved
     against the candidate positions; every other endpoint is folded into a
-    fixed point at build time through ``fp.reference_point``.
+    fixed point at build time through ``fp.reference_point``.  ``terms`` feeds
+    the per-category ``breakdown``; ``total`` reads the same terms as one flat
+    table with a row per term and axis: ``ia``/``ib`` index
+    ``ext = [mx..., my..., fixed coords...]``, ``d`` is the pin-offset
+    difference and ``coef`` the term's weight.
     """
 
     def __init__(self, graph, shapes, fp, area_scale, config):
@@ -273,12 +275,35 @@ class _LossEvaluator:
                 i = self.index.get(cid)
                 ends += (i, 0.0, 0.0) if i is not None else (-1, *fp.reference_point(cid))
             self.terms.append((cat, coef, *ends))
-        self.dyn_terms = [t for t in self.terms if t[1] != 0.0 and (t[2] >= 0 or t[5] >= 0)]
         self.const_loss = sum(
             t[1] * (abs(t[3] - t[6]) + abs(t[4] - t[7]))
             for t in self.terms
             if t[1] != 0.0 and t[2] < 0 and t[5] < 0
         )
+
+        n = len(self.ids)
+        fixed: list[float] = []
+        rows = []  # (ia, ib, d, coef)
+
+        def end(i, f, axis, pin):
+            if i >= 0:
+                return axis * n + i, pin[i]
+            fixed.append(f)
+            return 2 * n + len(fixed) - 1, 0.0
+
+        for _, coef, i1, fx1, fy1, i2, fx2, fy2 in self.terms:
+            if coef == 0.0 or (i1 < 0 and i2 < 0):
+                continue
+            for axis, pin, f1, f2 in ((0, self.pcx, fx1, fx2), (1, self.pcy, fy1, fy2)):
+                a, da = end(i1, f1, axis, pin)
+                b, db = end(i2, f2, axis, pin)
+                rows.append((a, b, da - db, coef))
+        ia, ib, d, coef = zip(*rows) if rows else ((), (), (), ())
+        self.ia = np.array(ia, dtype=np.intp)
+        self.ib = np.array(ib, dtype=np.intp)
+        self.d = np.array(d, dtype=float)
+        self.coef = np.array(coef, dtype=float)
+        self._ext = np.array([0.0] * (2 * n) + fixed)
 
     def _geometry_terms(self, mx, my):
         """Outline overhang penalty (quadratic) and optional boundary pull."""
@@ -295,17 +320,17 @@ class _LossEvaluator:
                 boundary += max(0.0, min(x, y, W - x - w, H - y - h))
         return cfg.outline_weight * outline, cfg.push_boundary_weight * boundary
 
-    def total(self, mx, my) -> float:
-        pcx, pcy = self.pcx, self.pcy
-        t = self.const_loss
-        for cat, coef, i1, fx1, fy1, i2, fx2, fy2 in self.dyn_terms:
-            if i1 >= 0:
-                fx1 = mx[i1] + pcx[i1]
-                fy1 = my[i1] + pcy[i1]
-            if i2 >= 0:
-                fx2 = mx[i2] + pcx[i2]
-                fy2 = my[i2] + pcy[i2]
-            t += coef * (abs(fx1 - fx2) + abs(fy1 - fy2))
+    def total(self, mx, my, fits: bool = False) -> float:
+        """Loss at lower-left corners ``mx``/``my``.  ``fits`` says every macro
+        lies inside the outline, so without a boundary pull the geometry
+        terms are zero and are skipped."""
+        n = len(mx)
+        ext = self._ext
+        ext[:n] = mx
+        ext[n:2 * n] = my
+        t = self.const_loss + float(self.coef @ np.abs(ext[self.ia] - ext[self.ib] + self.d))
+        if fits and not self.config.push_boundary_weight:
+            return t
         o, b = self._geometry_terms(mx, my)
         return t + o + b
 
@@ -468,16 +493,6 @@ class SaSchedule:
     t_min_ratio: float = 1e-4
 
 
-def _centered(xs, ys, widths, heights, outline):
-    if not xs:
-        return [], []
-    W, H = outline
-    bw = max(x + w for x, w in zip(xs, widths))
-    bh = max(y + h for y, h in zip(ys, heights))
-    ox, oy = (W - bw) / 2.0, (H - bh) / 2.0
-    return [x + ox for x in xs], [y + oy for y in ys]
-
-
 def run_sa(
     initial_sp: SequencePair,
     graph: DataflowGraph,
@@ -497,7 +512,6 @@ def run_sa(
     shapes = macro_shapes(cn)
     ids = sorted(shapes)
     n = len(ids)
-    sizes = [(shapes[c].width, shapes[c].height) for c in ids]
     area_scale = macro_area_scales(cn)
     anchors = io_anchor_positions(cn, outline)
     fixed = Floorplan(outline, {}, cluster_positions, anchors)
@@ -506,21 +520,24 @@ def run_sa(
     if sorted(initial_sp.pos) != list(range(n)) or sorted(initial_sp.neg) != list(range(n)):
         raise BadPermutation(f"pos/neg must both permute 0..{n - 1}")
 
+    W, H = outline
+
     def place(pos, neg):
-        xs, ys = _decode_sp(pos, neg, sizes)
-        return _centered(xs, ys, ev.widths, ev.heights, outline)
+        """Packing centered in the outline, and whether it fits inside."""
+        xs, ys, bw, bh = _decode_sp(pos, neg, ev.widths, ev.heights)
+        ox, oy = (W - bw) / 2.0, (H - bh) / 2.0
+        return [x + ox for x in xs], [y + oy for y in ys], bw <= W and bh <= H
 
     def build_fp(pos, neg):
-        mx, my = place(pos, neg)
+        mx, my, _ = place(pos, neg)
         placements = {
-            cid: MacroPlacement(mx[i], my[i], sizes[i][0], sizes[i][1], "N", shapes[cid].pins)
+            cid: MacroPlacement(mx[i], my[i], ev.widths[i], ev.heights[i], "N", shapes[cid].pins)
             for i, cid in enumerate(ids)
         }
         return Floorplan(outline, placements, dict(cluster_positions), anchors), mx, my
 
     cur_pos, cur_neg = list(initial_sp.pos), list(initial_sp.neg)
-    mx, my = place(cur_pos, cur_neg)
-    cur_loss = ev.total(mx, my)
+    cur_loss = ev.total(*place(cur_pos, cur_neg))
     best_pos, best_neg, best_loss = list(cur_pos), list(cur_neg), cur_loss
 
     if schedule.moves_per_temp > 0 and n >= 2:
@@ -544,8 +561,7 @@ def run_sa(
         for _ in range(100):
             kind, i, j = propose()
             apply(kind, i, j)
-            mx, my = place(cur_pos, cur_neg)
-            deltas.append(abs(ev.total(mx, my) - cur_loss))
+            deltas.append(abs(ev.total(*place(cur_pos, cur_neg)) - cur_loss))
             apply(kind, i, j)  # revert
         t0 = max(schedule.t0_factor * (sum(deltas) / len(deltas)), 1e-12)
         t = t0
@@ -554,8 +570,7 @@ def run_sa(
             for _ in range(schedule.moves_per_temp):
                 kind, i, j = propose()
                 apply(kind, i, j)
-                mx, my = place(cur_pos, cur_neg)
-                new_loss = ev.total(mx, my)
+                new_loss = ev.total(*place(cur_pos, cur_neg))
                 dl = new_loss - cur_loss
                 if dl <= 0 or rng.random() < math.exp(-dl / t):
                     cur_loss = new_loss

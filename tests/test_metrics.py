@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,13 @@ def test_report_empty_graph():
     rep = emit_report(fp, DataflowGraph(()), loss=LossBreakdown())
     assert rep.hpwl_total == 0.0
     assert rep.congestion_overflow == 0.0
+
+
+@pytest.mark.parametrize("capacity", [0, -1.0, "none", None, True])
+def test_report_rejects_bad_capacity(capacity):
+    fp, g = report_scene()
+    with pytest.raises(ValueError, match=re.escape(repr(capacity))):
+        emit_report(fp, g, capacity=capacity)
 
 
 def test_report_json_round_trip_and_determinism():

@@ -231,6 +231,22 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     ("metrics", {"bins": 0}),
     ("metrics", {"capacity": -1}),
     ("metrics", {"capacity": "none"}),
+    ("sa", {"t0_factor": "1"}),
+    ("sa", {"t0_factor": -1}),
+    ("gp", {"iterations": "x"}),
+    ("gp", {"iterations": -3}),
+    ("gp", {"iterations": 2.5}),
+    ("flip", {"alpha": "a"}),
+    ("flip", {"enabled": "yes"}),
+    ("loss", {"mc_scale": "x"}),
+    ("loss", {"outline_weight": "x"}),
+    ("loss", {"push_boundary": "x"}),
+    ("loss", {"mm_indirect_scale": None}),
+    ("loss", {"mcc_scale": -1}),
+    ("clustering", {"min_cells": "x"}),
+    ("extraction", {"fanout_limit": "x"}),
+    ("extraction", {"k": "x"}),
+    ("metrics", {"dump_grid": "x"}),
 ])
 def test_cli_bad_config_value_exit_code(tmp_path, section, values):
     cfg = fast_config(tmp_path)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,17 +16,20 @@ from dfplace import (
     normalize_macro_area,
     run_sa,
 )
-from dfplace.dataflow import CC, MC, MCC, MM_DIRECT, DataflowEdge, DataflowGraph
+from dfplace.dataflow import CC, MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowEdge, DataflowGraph
 from dfplace.errors import BadPermutation, EmptyGraph, UnplacedCluster
 from dfplace.placer import (
     Floorplan,
     MacroPlacement,
+    MacroShape,
     PlacerConfig,
     SaSchedule,
     SequencePair,
     macro_area_scales,
     macro_shapes,
     two_hop_coefficient,
+    _decode_sp,
+    _LossEvaluator,
 )
 from oracles import any_overlap
 
@@ -74,6 +78,31 @@ def test_sp_never_overlaps(seed):
     xs, ys = evaluate_sequence_pair(sp, sizes)
     rects = [(xs[i], ys[i], sizes[i][0], sizes[i][1]) for i in range(n)]
     assert not any_overlap(rects)
+
+
+def decode_reference(pos, neg, sizes):
+    """Longest paths straight from the relations: a is left of b when it
+    precedes b in both sequences, below b when it follows b in pos only."""
+    rank = {v: r for r, v in enumerate(neg)}
+    xs, ys = {}, {}
+    for b in pos:  # every macro left of b comes earlier in pos
+        xs[b] = max((xs[a] + sizes[a][0] for a in xs if rank[a] < rank[b]), default=0.0)
+    for a in reversed(pos):  # every macro below a comes later in pos
+        ys[a] = max((ys[b] + sizes[b][1] for b in ys if rank[b] < rank[a]), default=0.0)
+    return [xs[i] for i in range(len(pos))], [ys[i] for i in range(len(pos))]
+
+
+def test_decode_returns_bounding_box():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 16, 24):
+        for _ in range(10):
+            pos, neg = rng.permutation(n).tolist(), rng.permutation(n).tolist()
+            sizes = [(float(rng.uniform(1, 9)), float(rng.uniform(1, 9))) for _ in range(n)]
+            xs, ys, bw, bh = _decode_sp(pos, neg, [w for w, _ in sizes], [h for _, h in sizes])
+            assert (xs, ys) == evaluate_sequence_pair(SequencePair(tuple(pos), tuple(neg)), sizes)
+            assert (xs, ys) == decode_reference(pos, neg, sizes)
+            assert bw == max((x + w for x, (w, _) in zip(xs, sizes)), default=0)
+            assert bh == max((y + h for y, (_, h) in zip(ys, sizes)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +223,68 @@ def test_loss_variants_single_edge():
     assert eq5.loss_mcc == pytest.approx(9.0 * 10.0)
     assert eq6.loss_mcc == pytest.approx(36.0 * 10.0)
     assert eq8.loss_mcc == pytest.approx(3.0 * 10.0)
+
+
+def random_loss_scene(seed):
+    """Macros (every third one pinless), cell clusters and IO anchors joined by
+    edges of every kind between random endpoints, in an outline that is
+    sometimes too small for the packing."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    shapes = {}
+    for cid in range(n):
+        w, h = (float(v) for v in rng.uniform(1, 8, 2))
+        k = 0 if cid % 3 == 0 else int(rng.integers(1, 4))
+        pins = tuple((float(rng.uniform(0, w)), float(rng.uniform(0, h))) for _ in range(k))
+        shapes[cid] = MacroShape(w, h, pins)
+    side = math.sqrt(sum(s.width * s.height for s in shapes.values())) * rng.choice([0.8, 1.5, 3.0])
+    outline = (float(side), float(side * rng.uniform(0.7, 1.3)))
+    cells = {n + k: tuple(float(v) for v in rng.uniform(0, side, 2)) for k in range(4)}
+    ios = {n + 4: (0.0, outline[1] / 2.0), n + 5: (outline[0], outline[1] / 2.0)}
+    fp = Floorplan(outline, {}, cells, ios)
+    ids = list(shapes) + list(cells) + list(ios)
+    edges = []
+    for _ in range(30):
+        src, dst = (int(v) for v in rng.choice(ids, 2, replace=False))
+        kind = str(rng.choice([MM_DIRECT, MM_INDIRECT, MC, MCC, CC]))
+        weight = float(rng.uniform(0.5, 4))
+        first_hop = float(rng.uniform(0.5, 4)) if kind == MCC else None
+        edges.append(DataflowEdge(kind, src, dst, weight, 1, first_hop=first_hop))
+    config = PlacerConfig(
+        loss_variant=str(rng.choice(["eq5", "eq6", "eq8"])),
+        mc_scale=float(rng.uniform(0, 2)),
+        mm_indirect_scale=float(rng.choice([0.0, 1.0, 2.5])),
+        push_boundary_weight=float(rng.choice([0.0, 0.5])),
+    )
+    area_scale = dict(zip(shapes, normalize_macro_area([s.width * s.height for s in shapes.values()])))
+    return _LossEvaluator(DataflowGraph(tuple(edges)), shapes, fp, area_scale, config), rng
+
+
+def test_loss_evaluator_total_matches_breakdown():
+    seen = {"fits": 0, "overhangs": 0, "boundary": 0}
+    for seed in range(40):
+        ev, rng = random_loss_scene(seed)
+        n = len(ev.ids)
+        W, H = ev.outline
+        seen["boundary"] += ev.config.push_boundary_weight > 0
+        for _ in range(10):
+            # arbitrary corners, some outside the outline: full geometry pass
+            mx = rng.uniform(-0.2 * W, W, n).tolist()
+            my = rng.uniform(-0.2 * H, H, n).tolist()
+            assert ev.total(mx, my) == pytest.approx(ev.breakdown(mx, my).total, rel=1e-12)
+            # a centered packing, as run_sa evaluates it
+            pos, neg = rng.permutation(n).tolist(), rng.permutation(n).tolist()
+            xs, ys, bw, bh = _decode_sp(pos, neg, ev.widths, ev.heights)
+            mx = [x + (W - bw) / 2.0 for x in xs]
+            my = [y + (H - bh) / 2.0 for y in ys]
+            fits = bw <= W and bh <= H
+            seen["fits" if fits else "overhangs"] += 1
+            ref = ev.breakdown(mx, my)
+            if fits:
+                assert ref.loss_outline == 0.0
+            assert ev.total(mx, my, fits) == pytest.approx(ref.total, rel=1e-12)
+            assert ev.total(mx, my) == pytest.approx(ref.total, rel=1e-12)
+    assert min(seen.values()) > 0, seen
 
 
 def scaled_graph(graph, c):
