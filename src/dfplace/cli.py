@@ -75,22 +75,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overrides(args) -> dict:
+    """The flags given, in the config file's layout."""
+    top = {"seed": args.seed, "stop_stage": args.stage, "out_dir": args.out}
+    loss = {"push_boundary": args.push_boundary, "variant": args.loss}
+    out = {k: v for k, v in top.items() if v is not None}
+    loss = {k: v for k, v in loss.items() if v is not None}
+    if loss:
+        out["loss"] = loss
+    if args.no_finetune:
+        out["flip"] = {"enabled": False}
+    return out
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.stage is not None:
-            config.stop_stage = args.stage
-        if args.push_boundary is not None:
-            config.loss.push_boundary = args.push_boundary
-        if args.no_finetune:
-            config.flip.enabled = False
-        if args.loss is not None:
-            config.loss.variant = args.loss
-        if args.out is not None:
-            config.out_dir = args.out
+        config = load_config(args.config, _overrides(args))
         result = run_pipeline(config)
     except Exception as exc:  # noqa: BLE001 - map every failure to an exit code
         print(f"dfplace: error: {exc}", file=sys.stderr)

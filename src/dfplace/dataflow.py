@@ -16,6 +16,7 @@ Edge kinds:
 from __future__ import annotations
 
 import fnmatch
+import re
 from dataclasses import dataclass
 
 from .clustering import CELL_CLUSTER, MACRO_CLUSTER, Cluster, ClusteredNetlist
@@ -91,8 +92,12 @@ def classify_direct_edges(cn: ClusteredNetlist) -> DataflowGraph:
     return DataflowGraph(_sorted_edges(rest))
 
 
-def _matches_any(name: str, patterns) -> bool:
-    return any(fnmatch.fnmatchcase(name, p) for p in patterns)
+def compile_name_filters(patterns) -> re.Pattern:
+    """One regex whose ``match`` agrees with ``fnmatch.fnmatchcase`` against
+    any of ``patterns``; no pattern matches nothing."""
+    if not patterns:
+        return re.compile(r"(?!)")
+    return re.compile("|".join(fnmatch.translate(p) for p in patterns))
 
 
 def extract_indirect_mm(
@@ -128,18 +133,17 @@ def extract_indirect_mm(
                 pair_w[key] = pair_w.get(key, 0.0) + incident[cell][macros[i]] + incident[cell][macros[j]]
 
     # instance level: single cells driving pins inside several macro clusters
+    filtered = compile_name_filters(name_filters).match
+    cluster_of = cn.instance_to_cluster
+    macro_cluster = [c.kind == MACRO_CLUSTER for c in cn.clusters]
+    is_cell = [inst.is_cell for inst in netlist.instances]
     for net in netlist.nets:
-        if not netlist.instances[net.driver[0]].is_cell:
+        if not is_cell[net.driver[0]] or len(net.sinks) > fanout_limit:
             continue
-        if len(net.sinks) > fanout_limit or _matches_any(net.base_name, name_filters):
+        touched = {cluster_of[i] for i, _ in net.sinks}
+        touched = sorted(c for c in touched if macro_cluster[c])
+        if len(touched) < 2 or filtered(net.base_name):
             continue
-        touched = sorted(
-            {
-                cn.cluster_of(i)
-                for i, _ in net.sinks
-                if cn.clusters[cn.cluster_of(i)].kind == MACRO_CLUSTER
-            }
-        )
         for i in range(len(touched)):
             for j in range(i + 1, len(touched)):
                 key = (touched[i], touched[j])

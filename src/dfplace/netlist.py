@@ -7,9 +7,14 @@ integers assigned in document order.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 
 from .errors import (
     BadOutline,
@@ -43,11 +48,13 @@ class Master:
     def area(self) -> float:
         return self.width * self.height
 
-    def has_pin(self, pin: str) -> bool:
-        return any(p == pin for p, _, _ in self.pin_offsets)
+    @cached_property
+    def pin_names(self) -> frozenset[str]:
+        """Names of the pins; the one membership rule for connections."""
+        return frozenset(p for p, _, _ in self.pin_offsets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     id: int
     name: str
@@ -67,7 +74,7 @@ class Instance:
         return self.master.kind == IO_PAD
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Net:
     """Directed (possibly bundled) connection: one driver pin, many sink pins."""
 
@@ -91,6 +98,32 @@ class Netlist:
             if iid == inst_id:
                 return side
         return None
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector while a parse builds its model.
+
+    A decoded document and the netlist model built from it are acyclic
+    (dicts, lists, tuples, frozen dataclasses): reference counting frees
+    them, so collector passes during a parse find nothing and only walk the
+    growing heap.  The caller's setting is restored in a ``finally``.  When
+    the collector was on and the block ends normally, one pass over the two
+    young generations then moves the model to the old one at once, inside
+    the parse, rather than in two later passes wherever an allocation
+    happens to trigger them; it also frees the Verilog elaborator's
+    self-referencing closure.  ``gc.freeze()`` would instead act on the
+    whole process and keep a caller's cycles alive for good.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+    if was_enabled:
+        gc.collect(1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,22 +173,28 @@ def _resolve_endpoint(ep, by_name: dict[str, Instance], net_name: str) -> tuple[
     inst = by_name.get(inst_name)
     if inst is None:
         raise DanglingPin(f"net '{net_name}': unknown instance '{inst_name}'")
-    if not inst.master.has_pin(pin):
+    if pin not in inst.master.pin_names:
         raise DanglingPin(
             f"net '{net_name}': instance '{inst_name}' has no pin '{pin}'"
         )
     return inst.id, pin
 
 
-def parse_netlist(text: str) -> Netlist:
+@collector_paused()
+def parse_netlist(source: str | os.PathLike) -> Netlist:
     """Parse and validate the JSON netlist document format.
+
+    ``source`` is the document text or the path of a file holding it; a file
+    is read as bytes and decoded by the JSON decoder (UTF-8, -16 or -32).
 
     Raises MissingInstances, DanglingPin, DuplicateName, BadOutline or
     MalformedDocument on invalid input.
     """
+    if isinstance(source, os.PathLike):
+        source = Path(source).read_bytes()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(source)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument("top level must be an object")
@@ -185,11 +224,13 @@ def parse_netlist(text: str) -> Netlist:
         raise MissingInstances("netlist has no instances")
     instances: list[Instance] = []
     by_name: dict[str, Instance] = {}
+    paths: dict[tuple[str, ...], tuple[str, ...]] = {}  # one tuple per distinct path
     for idx, entry in enumerate(raw_instances):
         try:
             name = entry["name"]
             master_name = entry["master"]
             path = tuple(entry["hierarchy_path"])
+            path = paths.setdefault(path, path)
         except (KeyError, TypeError) as exc:
             raise MalformedDocument(f"bad instance entry: {entry!r} ({exc})") from exc
         if name in by_name:
@@ -214,7 +255,7 @@ def parse_netlist(text: str) -> Netlist:
         if bw < 1:
             raise MalformedDocument(f"net '{base}': bit_width must be >= 1")
         driver = _resolve_endpoint(driver_raw, by_name, base)
-        sinks = tuple(_resolve_endpoint(s, by_name, base) for s in sinks_raw)
+        sinks = tuple([_resolve_endpoint(s, by_name, base) for s in sinks_raw])
         nets.append(Net(idx, base, driver, sinks, bw))
 
     io_side = []
@@ -229,8 +270,9 @@ def parse_netlist(text: str) -> Netlist:
         if not inst.is_io:
             raise MalformedDocument(f"io_side given for non-IO instance '{name}'")
         io_side.append((inst.id, side))
+    sided = {iid for iid, _ in io_side}
     for inst in instances:
-        if inst.is_io and all(iid != inst.id for iid, _ in io_side):
+        if inst.is_io and inst.id not in sided:
             raise MalformedDocument(f"IO instance '{inst.name}' has no io_side entry")
 
     return Netlist(
@@ -315,9 +357,9 @@ def bundle_buses(netlist: Netlist) -> Netlist:
     out: list[Net] = []
     for slot in slots:
         if isinstance(slot, Net):
-            out.append(
-                Net(len(out), slot.base_name, slot.driver, slot.sinks, slot.bit_width)
-            )
+            if slot.id != len(out):
+                slot = Net(len(out), slot.base_name, slot.driver, slot.sinks, slot.bit_width)
+            out.append(slot)
         else:
             members = sorted(groups[slot], key=lambda t: t[0])
             first = members[0][1]
@@ -520,6 +562,7 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+@collector_paused()
 def parse_verilog_subset(text: str, geometry: str | dict) -> Netlist:
     """Parse structural Verilog (modules, wires, named-port instantiations).
 
@@ -617,7 +660,7 @@ def parse_verilog_subset(text: str, geometry: str | dict) -> Netlist:
                 inst = Instance(len(instances), "/".join(child_scope), master, path)
                 instances.append(inst)
                 for port, (sig, bit) in sorted(conns.items()):
-                    if not master.has_pin(port):
+                    if port not in master.pin_names:
                         raise DanglingPin(
                             f"line {line}: master '{target}' has no pin '{port}'"
                         )

@@ -24,6 +24,8 @@ STAGES = ("parse", "cluster", "extract", "gp", "sa", "flip", "report")
 
 
 def _from_dict(cls, data: dict, where: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
@@ -39,6 +41,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_str_list(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(isinstance(p, str) for p in v)
+
+
 def _check(ok: bool, message: str, value) -> None:
     if not ok:
         raise ConfigError(f"{message}, got {value!r}")
@@ -50,11 +56,14 @@ _FIELD_TYPES = {
     "int": (_is_int, "an int"),
     "float": (_is_number, "a number"),
     "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
+    "tuple[str, ...]": (_is_str_list, "a list of strings"),
 }
 
 
 def _check_types(obj, where: str) -> None:
-    """Check every ``int``, ``float`` and ``bool`` field of a config dataclass."""
+    """Check every field of a config dataclass whose annotation has a rule."""
     for f in fields(obj):
         rule = _FIELD_TYPES.get(f.type)
         if rule is not None:
@@ -74,7 +83,7 @@ class ClusteringConfig:
 class ExtractionConfig:
     k: float = 1.0
     fanout_limit: int = 32
-    name_filters: tuple = dataflow.DEFAULT_NAME_FILTERS
+    name_filters: tuple[str, ...] = dataflow.DEFAULT_NAME_FILTERS
 
 
 @dataclass
@@ -165,6 +174,9 @@ class PipelineConfig:
             if name in data:
                 kwargs[name] = _from_dict(cls, data.pop(name), name)
         cfg = _from_dict(PipelineConfig, {**data, **kwargs}, "config")
+        _check_types(cfg, "")
+        for name in sections:
+            _check_types(getattr(cfg, name), f"{name}.")
         if cfg.stop_stage not in STAGES:
             raise ConfigError(f"stop_stage must be one of {STAGES}")
         if cfg.netlist is None and cfg.verilog is None:
@@ -172,9 +184,6 @@ class PipelineConfig:
         if cfg.verilog is not None and cfg.geometry is None:
             raise ConfigError("verilog input needs a 'geometry' sidecar")
         cfg.loss.placer_config()  # validate variant early
-        _check_types(cfg, "")
-        for name in sections:
-            _check_types(getattr(cfg, name), f"{name}.")
         sa, m = cfg.sa, cfg.metrics
         # an unbounded schedule (cooling or t_min_ratio outside (0, 1)) would
         # anneal forever, so every value is checked before any stage runs
@@ -197,7 +206,9 @@ class PipelineConfig:
         return cfg
 
 
-def load_config(path: str | Path) -> PipelineConfig:
+def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
+    """Read a config file; ``overrides`` (same layout, e.g. from command-line
+    flags) replace its values before any of them is checked."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
@@ -205,6 +216,15 @@ def load_config(path: str | Path) -> PipelineConfig:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be an object, got {data!r}")
+    for key, value in (overrides or {}).items():
+        section = data.get(key)
+        if isinstance(value, dict) and section is not None:
+            if not isinstance(section, dict):
+                continue  # from_dict reports the file's bad section
+            value = {**section, **value}
+        data[key] = value
     return PipelineConfig.from_dict(data)
 
 
@@ -322,8 +342,7 @@ def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineRe
 
     def parse_stage():
         if config.netlist is not None:
-            text = Path(config.netlist).read_text()
-            nl = parse_netlist(text)
+            nl = parse_netlist(Path(config.netlist))
         else:
             text = Path(config.verilog).read_text()
             geo = Path(config.geometry).read_text()

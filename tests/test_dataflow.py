@@ -1,3 +1,4 @@
+import fnmatch
 import json
 
 import numpy as np
@@ -14,7 +15,16 @@ from dfplace import (
     extract_two_hop,
 )
 from dfplace.clustering import Cluster
-from dfplace.dataflow import CC, MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowEdge, export_graph
+from dfplace.dataflow import (
+    CC,
+    MC,
+    MCC,
+    MM_DIRECT,
+    MM_INDIRECT,
+    DataflowEdge,
+    compile_name_filters,
+    export_graph,
+)
 from dfplace.errors import DegenerateCluster
 from dfplace.netlist import parse_netlist
 from dfplace.synth import random_netlist
@@ -185,6 +195,22 @@ def test_name_filter_blocks_instance_level():
     w_f = sum(e.weight for e in filtered.by_kind(MM_INDIRECT))
     w_u = sum(e.weight for e in unfiltered.by_kind(MM_INDIRECT))
     assert w_u == w_f + 1  # instance-level contribution gone
+
+
+FILTER_NAMES = ("", "clk", "clk_a", "CLK", "rst", "reset_n", "a", "b", "c",
+                "ab", "a.b", "axb", "a+b", "aab", "(x)", "x", "data[3]", "d3",
+                "!", "clk\nx", "ba", "zclk")
+FILTER_PATTERNS = ((), ("*",), ("?",), ("[ab]",), ("[!a]",), ("a.b",),
+                   ("a+b",), ("(x)",), ("clk*", "rst*", "reset*"), ("*clk",),
+                   ("a?b", "[ab]*"), ("data[[]3]",), ("",), ("[!ab]*", "x"))
+
+
+@pytest.mark.parametrize("patterns", FILTER_PATTERNS)
+def test_compiled_name_filter_matches_fnmatch(patterns):
+    match = compile_name_filters(patterns).match
+    for name in FILTER_NAMES:
+        expected = any(fnmatch.fnmatchcase(name, p) for p in patterns)
+        assert bool(match(name)) == expected, (name, patterns)
 
 
 def test_fanout_limit_blocks_instance_level():

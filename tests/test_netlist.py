@@ -7,6 +7,7 @@ from dfplace.errors import (
     BadOutline,
     DanglingPin,
     DuplicateName,
+    MalformedDocument,
     MissingInstances,
     UnknownMaster,
     UnsupportedConstruct,
@@ -94,6 +95,72 @@ def test_unknown_master_rejected():
 def test_instance_ids_dense_from_zero():
     nl = parse_netlist(json.dumps(make_doc()))
     assert [i.id for i in nl.instances] == list(range(len(nl.instances)))
+
+
+def _driver_on(doc, inst, pin):
+    doc["nets"][0]["driver"] = [inst, pin]
+
+
+def _sink_on(doc, inst, pin):
+    doc["nets"][0]["sinks"] = [["u1", "a"], [inst, pin]]
+
+
+def _pad(doc, sides):
+    doc["instances"].append({"name": "pad0", "master": "PAD", "hierarchy_path": ["top"]})
+    doc["io_side"] = sides
+
+
+@pytest.mark.parametrize("edit,error,message", [
+    (lambda d: _driver_on(d, "ghost", "q"), DanglingPin,
+     "net 'n1': unknown instance 'ghost'"),
+    (lambda d: _driver_on(d, "u_ram", "zz"), DanglingPin,
+     "net 'n1': instance 'u_ram' has no pin 'zz'"),
+    (lambda d: _sink_on(d, "u99", "a"), DanglingPin,
+     "net 'n1': unknown instance 'u99'"),
+    (lambda d: _sink_on(d, "u1", "nope"), DanglingPin,
+     "net 'n1': instance 'u1' has no pin 'nope'"),
+    (lambda d: _pad(d, {"pad0": "N", "ghost": "E"}), DanglingPin,
+     "io_side references unknown instance 'ghost'"),
+    (lambda d: _pad(d, {"pad0": "X"}), MalformedDocument,
+     "io_side for 'pad0': bad side 'X'"),
+    (lambda d: _pad(d, {"pad0": "N", "u1": "S"}), MalformedDocument,
+     "io_side given for non-IO instance 'u1'"),
+    (lambda d: _pad(d, {}), MalformedDocument,
+     "IO instance 'pad0' has no io_side entry"),
+])
+def test_pin_and_io_side_error_messages(edit, error, message):
+    doc = make_doc()
+    edit(doc)
+    with pytest.raises(error) as err:
+        parse_netlist(json.dumps(doc))
+    assert str(err.value) == message
+
+
+def test_document_as_text_or_path(tmp_path):
+    text = json.dumps(make_doc())
+    path = tmp_path / "design.json"
+    path.write_text(text)
+    assert parse_netlist(path) == parse_netlist(text)
+    path.write_bytes(text.replace("u_ram", "u_r\u00e4m").encode("latin-1"))
+    with pytest.raises(MalformedDocument):
+        parse_netlist(path)  # not in a JSON encoding
+
+
+def test_instances_of_one_leaf_share_one_path():
+    nl = generate_design(n_modules=3, cells_per_module=8, seed=0)
+    again = parse_netlist(serialize_netlist(nl))
+    by_path: dict = {}
+    for inst in again.instances:
+        assert by_path.setdefault(inst.hierarchy_path, inst.hierarchy_path) is inst.hierarchy_path
+    assert len(by_path) < len(again.instances)
+
+
+def test_instances_and_nets_are_slotted():
+    nl = parse_netlist(json.dumps(make_doc()))
+    for obj in (nl.instances[0], nl.nets[0]):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            obj.id = 5
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -216,6 +283,13 @@ def test_verilog_unknown_master():
     src = "module top;\n  wire w;\n  MYSTERY u1 (.a(w));\nendmodule\n"
     with pytest.raises(UnknownMaster):
         parse_verilog_subset(src, GEOMETRY)
+
+
+def test_verilog_unknown_pin_message():
+    src = "module top;\n  wire w;\n  INV u1 (.zz(w));\nendmodule\n"
+    with pytest.raises(DanglingPin) as err:
+        parse_verilog_subset(src, GEOMETRY)
+    assert str(err.value) == "line 3: master 'INV' has no pin 'zz'"
 
 
 def test_verilog_hierarchy_and_ports():

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from dfplace import generate_design, render_svg, run_pipeline, serialize_netlist
 from dfplace.cli import main as cli_main
 from dfplace.dataflow import DataflowGraph
-from dfplace.errors import ConfigError
+from dfplace.errors import ConfigError, DanglingPin, MalformedDocument, PipelineStageError
 from dfplace.pipeline import PipelineConfig, StageTiming, load_config, stage_seeds
 from dfplace.placer import Floorplan, MacroPlacement
 
@@ -247,10 +248,23 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     ("extraction", {"fanout_limit": "x"}),
     ("extraction", {"k": "x"}),
     ("metrics", {"dump_grid": "x"}),
+    (None, {"netlist": 3}),
+    (None, {"out_dir": 3}),
+    (None, {"stop_stage": 3}),
+    (None, {"verilog": ["a.v"], "geometry": "g.json"}),
+    (None, {"verilog": "a.v", "geometry": 3}),
+    ("extraction", {"name_filters": [1]}),
+    ("extraction", {"name_filters": "x"}),
+    ("extraction", {"name_filters": None}),
+    ("loss", {"variant": ["eq5"]}),
+    (None, {"sa": 3}),
 ])
 def test_cli_bad_config_value_exit_code(tmp_path, section, values):
     cfg = fast_config(tmp_path)
-    cfg[section] = {**cfg.get(section, {}), **values}
+    if section is None:  # top-level keys
+        cfg.update(values)
+    else:
+        cfg[section] = {**cfg.get(section, {}), **values}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli_main(["place", str(path)]) == 2
@@ -268,6 +282,75 @@ def test_cli_loss_and_boundary_flags(tmp_path):
     report = json.loads((tmp_path / "v" / "run.report.json").read_text())
     assert report["flip_log"] == []
     assert report["loss"]["loss_boundary"] > 0.0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--push-boundary", "-1"],
+    ["--push-boundary", "nan"],
+])
+def test_cli_flag_values_are_checked_like_the_file(tmp_path, flags):
+    path = write_cli_config(tmp_path)
+    assert cli_main(["place", str(path), *flags]) == 2
+
+
+def test_flag_overrides_keep_the_file_section(tmp_path):
+    path = write_cli_config(tmp_path, loss={"mc_scale": 2.0, "variant": "eq6"})
+    cfg = load_config(path, {"loss": {"variant": "eq5"}, "seed": 9})
+    assert (cfg.loss.variant, cfg.loss.mc_scale, cfg.seed) == ("eq5", 2.0, 9)
+
+
+# ---------------------------------------------------------------------------
+# collector pause around the parse stage
+# ---------------------------------------------------------------------------
+
+def _broken_design(tmp_path, case):
+    path = write_design(tmp_path)
+    if case == "not_json":
+        path.write_text("{not json")
+        return path
+    doc = json.loads(path.read_text())
+    if case == "bad_master":
+        del doc["masters"][-1]["width"]
+    elif case == "dangling":
+        doc["nets"][0]["sinks"] = [["no_such_instance", "a"]]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case,error", [
+    ("valid", None),
+    ("not_json", MalformedDocument),
+    ("bad_master", MalformedDocument),
+    ("dangling", DanglingPin),
+])
+def test_parse_stage_restores_collector_state(tmp_path, monkeypatch, enabled, case, error):
+    import dfplace.netlist as netlist
+
+    seen = []
+    real = netlist._parse_master
+
+    def spy(entry):
+        seen.append(gc.isenabled())
+        return real(entry)
+
+    monkeypatch.setattr(netlist, "_parse_master", spy)
+    path = _broken_design(tmp_path, case)
+    cfg = PipelineConfig.from_dict({"netlist": str(path), "stop_stage": "parse"})
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            assert run_pipeline(cfg, write_files=False).netlist is not None
+        else:
+            with pytest.raises(PipelineStageError) as err:
+                run_pipeline(cfg, write_files=False)
+            assert isinstance(err.value.cause, error)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # paused while the masters were parsed
+    assert not any(seen) and bool(seen) == (case != "not_json")
 
 
 # ---------------------------------------------------------------------------
