@@ -3,8 +3,9 @@
 Each macro's incident dataflow is decomposed into axis-aligned vectors
 (macro-macro, macro-cell, two-hop), blended into a total vector, and the
 macro is mirrored so its pin center leans toward the dominant flow.  Macros
-are visited breadth-first from the IO boundary; a flip that would raise total
-HPWL is reverted when the guard is on.
+are visited breadth-first from the IO boundary; a flip that would raise HPWL
+is reverted when the guard is on.  A flip moves only the macro's pin center,
+so each macro is decided from its incident edges alone, indexed once.
 
 Orientation naming: FN mirrors across the horizontal axis (pins move
 up/down), FS across the vertical axis (pins move left/right).  This follows
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataflow import MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowGraph
+from .dataflow import MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowEdge, DataflowGraph
 from .errors import EmptyCluster
 from .metrics import total_hpwl
 from .placer import ORIENT_FLAGS, Floorplan
@@ -24,6 +25,9 @@ from .placer import ORIENT_FLAGS, Floorplan
 DEFAULT_ALPHA = 0.55
 DEFAULT_BETA = 0.30
 DEFAULT_GAMMA = 0.15
+# the guard reverts a flip only when it raises the HPWL by more than this
+# share, so a zero change is a tie that keeps the flip, whatever the roundoff
+TIE_TOLERANCE = 1e-9
 
 
 def compose_orientation(current: str, flip: str) -> str:
@@ -81,33 +85,33 @@ def decompose_dataflow_vectors(
     total is the (alpha, beta, gamma) blend.
     """
     pc = fp.reference_point(macro_id)
-    v_mm = [0.0, 0.0]
-    v_mc = [0.0, 0.0]
-    v_mcc = [0.0, 0.0]
+    v_mm, v_mc, v_mcc = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+    peer_sums = {MM_DIRECT: v_mm, MM_INDIRECT: v_mm, MC: v_mc}
     for e in graph.edges:
-        if e.kind in (MM_DIRECT, MM_INDIRECT):
-            if e.src == macro_id or e.dst == macro_id:
-                peer = e.dst if e.src == macro_id else e.src
-                p = fp.reference_point(peer)
-                v_mm[0] += e.weight * (p[0] - pc[0])
-                v_mm[1] += e.weight * (p[1] - pc[1])
-        elif e.kind == MC:
-            if e.src == macro_id or e.dst == macro_id:
-                cell = e.dst if e.src == macro_id else e.src
-                p = fp.reference_point(cell)
-                v_mc[0] += e.weight * (p[0] - pc[0])
-                v_mc[1] += e.weight * (p[1] - pc[1])
+        if e.kind in peer_sums and macro_id in (e.src, e.dst):
+            v, p = peer_sums[e.kind], fp.reference_point(e.dst if e.src == macro_id else e.src)
         elif e.kind == MCC and e.src == macro_id:
-            p1 = fp.reference_point(e.via)
-            p2 = fp.reference_point(e.dst)
-            mid = (0.5 * (p1[0] + p2[0]), 0.5 * (p1[1] + p2[1]))
-            v_mcc[0] += e.weight * (mid[0] - pc[0])
-            v_mcc[1] += e.weight * (mid[1] - pc[1])
+            p1, p2 = fp.reference_point(e.via), fp.reference_point(e.dst)
+            v, p = v_mcc, (0.5 * (p1[0] + p2[0]), 0.5 * (p1[1] + p2[1]))
+        else:
+            continue
+        v[0] += e.weight * (p[0] - pc[0])
+        v[1] += e.weight * (p[1] - pc[1])
     v_t = (
         alpha * v_mm[0] + beta * v_mc[0] + gamma * v_mcc[0],
         alpha * v_mm[1] + beta * v_mc[1] + gamma * v_mcc[1],
     )
     return FlipVector(tuple(v_mm), tuple(v_mc), tuple(v_mcc), v_t)
+
+
+def _incidence(graph: DataflowGraph) -> dict[int, list[DataflowEdge]]:
+    """The edges touching each cluster, in graph order."""
+    incident: dict[int, list[DataflowEdge]] = {}
+    for e in graph.edges:
+        incident.setdefault(e.src, []).append(e)
+        if e.dst != e.src:
+            incident.setdefault(e.dst, []).append(e)
+    return incident
 
 
 def order_macros_for_flipping(graph: DataflowGraph, fp: Floorplan) -> list[int]:
@@ -116,30 +120,27 @@ def order_macros_for_flipping(graph: DataflowGraph, fp: Floorplan) -> list[int]:
     Within a BFS level, heavier total incident weight goes first, then lower
     id; macros unreachable from any IO cluster are appended by ascending id.
     """
+    return _flip_order(_incidence(graph), fp)
+
+
+def _flip_order(incident: dict[int, list[DataflowEdge]], fp: Floorplan) -> list[int]:
     macros = set(fp.macro_placements)
     ios = set(fp.io_anchors)
-    adj: dict[int, set[int]] = {}
-    weight: dict[int, float] = {m: 0.0 for m in macros}
-    for e in graph.edges:
-        adj.setdefault(e.src, set()).add(e.dst)
-        adj.setdefault(e.dst, set()).add(e.src)
-        for end in (e.src, e.dst):
-            if end in macros:
-                weight[end] += e.weight
+
+    def peers(c):
+        return {e.dst if e.src == c else e.src for e in incident.get(c, ())}
 
     def rank(m):
-        return (-weight[m], m)
+        return (-sum(e.weight for e in incident.get(m, ())), m)
 
-    frontier = sorted(
-        (m for m in macros if adj.get(m, set()) & ios), key=rank
-    )
+    frontier = sorted((m for m in macros if peers(m) & ios), key=rank)
     order: list[int] = list(frontier)
     visited = set(frontier) | ios
     level = list(frontier)
     while level:
         reached = set()
         for node in level:
-            reached |= adj.get(node, set()) - visited
+            reached |= peers(node) - visited
         visited |= reached
         order.extend(sorted((m for m in reached if m in macros), key=rank))
         level = sorted(reached)
@@ -160,11 +161,12 @@ def decide_and_apply_flip(
 ) -> FlipDecision:
     """Mirror the macro so its pin center leans along the total vector.
 
-    The axis with the larger |component| is tested first; an axis counts as
-    misaligned when the vector component and the pin-center offset have
-    strictly opposite signs, so zero components or centered pins never flip.
+    An axis counts as misaligned when the vector component and the
+    pin-center offset have strictly opposite signs, so zero components or
+    centered pins never flip.
     Mode S mirrors both axes, FS only left/right, FN only up/down.  With the
-    guard on, a flip that increases total HPWL is reverted (applied=False).
+    guard on, a flip that raises the HPWL of ``graph`` by more than
+    ``TIE_TOLERANCE`` of it is reverted (applied=False).
     """
     mp = fp.macro_placements[macro_id]
     pcx, pcy = mp.pin_center()
@@ -172,31 +174,19 @@ def decide_and_apply_flip(
     dx, dy = pcx - ccx, pcy - ccy
     xvt, yvt = fv.v_t
 
-    # an axis is misaligned only when both signs are nonzero and opposite, so
-    # a zero component or a centered pin never triggers; the dominant axis is
-    # just the first one inspected, the mode table below is order-free
-    mis_h = _sign(xvt) * _sign(dx) < 0
-    mis_v = _sign(yvt) * _sign(dy) < 0
-    if mis_h and mis_v:
-        mode = "S"
-    elif mis_h:
-        mode = "FS"
-    elif mis_v:
-        mode = "FN"
-    else:
-        mode = "N"
+    misaligned = (_sign(xvt) * _sign(dx) < 0, _sign(yvt) * _sign(dy) < 0)
+    mode = {(True, True): "S", (True, False): "FS", (False, True): "FN"}.get(misaligned, "N")
 
     pre = total_hpwl(fp, graph)
     if mode == "N":
         return FlipDecision(macro_id, "N", xvt, yvt, pre, pre, False)
 
     old_orientation = mp.orientation
-    mp.orientation = compose_orientation(mp.orientation, mode)
+    mp.orientation = compose_orientation(old_orientation, mode)
     post = total_hpwl(fp, graph)
-    applied = True
-    if guard and post > pre:
+    applied = not (guard and post - pre > TIE_TOLERANCE * pre)
+    if not applied:
         mp.orientation = old_orientation
-        applied = False
     return FlipDecision(macro_id, mode, xvt, yvt, pre, post, applied)
 
 
@@ -209,14 +199,23 @@ def run_flipping_pass(
     guard: bool = True,
     names: dict[int, str] | None = None,
 ) -> list[FlipDecision]:
-    """One ordered flipping pass; vectors see the already-flipped predecessors."""
+    """One ordered flipping pass; vectors see the already-flipped predecessors.
+
+    Each macro is decided on the graph of its incident edges.  The log's
+    ``pre_hpwl``/``post_hpwl`` are design totals: one whole-graph
+    ``total_hpwl`` carried forward by each applied flip's incident delta.
+    """
+    incident = _incidence(graph)
+    total = total_hpwl(fp, graph)
     decisions = []
-    for macro_id in order_macros_for_flipping(graph, fp):
-        fv = decompose_dataflow_vectors(macro_id, graph, fp, alpha, beta, gamma)
-        d = decide_and_apply_flip(macro_id, fv, fp, graph, guard)
-        if names:
-            d.name = names.get(macro_id, str(macro_id))
-        else:
-            d.name = str(macro_id)
+    for macro_id in _flip_order(incident, fp):
+        local = DataflowGraph(tuple(incident.get(macro_id, ())))
+        fv = decompose_dataflow_vectors(macro_id, local, fp, alpha, beta, gamma)
+        d = decide_and_apply_flip(macro_id, fv, fp, local, guard)
+        delta = d.post_hpwl - d.pre_hpwl
+        d.pre_hpwl, d.post_hpwl = total, total + delta
+        if d.applied:
+            total += delta
+        d.name = names.get(macro_id, str(macro_id)) if names else str(macro_id)
         decisions.append(d)
     return decisions

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -131,16 +132,51 @@ def collector_paused():
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = {"outline", "masters", "instances", "nets", "io_side"}
+# what a value of the wrong type or shape raises where it is read
+_SHAPE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _number(v) -> float:
+    """A finite JSON number; bools and numeric strings are not numbers."""
+    if type(v) is not int and type(v) is not float:
+        raise TypeError(f"{v!r} is not a number")
+    if not math.isfinite(v):
+        raise ValueError(f"{v!r} is not finite")
+    return float(v)
+
+
+def _string(v) -> str:
+    if type(v) is not str:
+        raise TypeError(f"{v!r} is not a string")
+    return v
+
+
+def _parse_outline(doc: dict) -> tuple[float, float]:
+    """The one outline rule of both parsers: positive finite width and height."""
+    raw = doc.get("outline")
+    if not isinstance(raw, dict):
+        raise BadOutline(f"missing or malformed 'outline': {raw!r}")
+    try:
+        outline = (_number(raw["width"]), _number(raw["height"]))
+    except _SHAPE_ERRORS as exc:
+        raise BadOutline(f"outline needs numeric width/height, got {raw!r} ({exc})") from exc
+    if outline[0] <= 0 or outline[1] <= 0:
+        raise BadOutline(f"outline must be positive, got {outline}")
+    return outline
 
 
 def _parse_master(entry: dict) -> Master:
     try:
-        name = entry["name"]
-        width = float(entry["width"])
-        height = float(entry["height"])
+        name = _string(entry["name"])
+        width = _number(entry["width"])
+        height = _number(entry["height"])
         kind = entry["kind"]
-        raw_pins = entry["pin_offsets"]
-    except (KeyError, TypeError, ValueError) as exc:
+        pins = [(_string(p), _number(dx), _number(dy)) for p, dx, dy in entry["pin_offsets"]]
+        out_pins = entry.get("out_pins", [])
+        if not isinstance(out_pins, (list, tuple)):
+            raise TypeError(f"out_pins {out_pins!r} is not a list")
+        out_pins = frozenset(map(_string, out_pins))
+    except _SHAPE_ERRORS as exc:
         raise MalformedDocument(f"bad master entry: {entry!r} ({exc})") from exc
     if kind not in KINDS:
         raise MalformedDocument(f"master '{name}': unknown kind '{kind}'")
@@ -149,10 +185,8 @@ def _parse_master(entry: dict) -> Master:
             raise MalformedDocument(f"io_pad master '{name}' must have zero area")
     elif width <= 0 or height <= 0:
         raise MalformedDocument(f"master '{name}' must have positive width and height")
-    pins = []
     seen = set()
-    for p in raw_pins:
-        pname, dx, dy = p[0], float(p[1]), float(p[2])
+    for pname, dx, dy in pins:
         if pname in seen:
             raise DuplicateName(f"master '{name}': duplicate pin '{pname}'")
         seen.add(pname)
@@ -160,16 +194,47 @@ def _parse_master(entry: dict) -> Master:
             raise MalformedDocument(
                 f"master '{name}': pin '{pname}' offset ({dx}, {dy}) outside footprint"
             )
-        pins.append((pname, dx, dy))
-    out_pins = frozenset(entry.get("out_pins", []))
     for op in sorted(out_pins):
         if op not in seen:
             raise MalformedDocument(f"master '{name}': out_pin '{op}' is not a pin")
     return Master(name, width, height, kind, tuple(pins), out_pins)
 
 
+def _parse_masters(doc: dict) -> dict[str, Master]:
+    """The ``masters`` list of a document or geometry sidecar, by name."""
+    masters: dict[str, Master] = {}
+    for entry in _object(doc, "masters", list):
+        m = _parse_master(entry)
+        if m.name in masters:
+            raise DuplicateName(f"duplicate master '{m.name}'")
+        masters[m.name] = m
+    return masters
+
+
+def _object(doc: dict, key: str, kind: type):
+    """``doc[key]`` (empty when absent), which must be a ``kind``."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        raise MalformedDocument(f"'{key}' must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _intern_path(paths: dict, raw, inst_name: str) -> tuple[str, ...]:
+    """Check a hierarchy path the first time it is seen and keep one tuple of it."""
+    if not isinstance(raw, (list, tuple)) or not all(type(p) is str for p in raw):
+        raise MalformedDocument(
+            f"instance '{inst_name}': hierarchy_path must be a list of strings, got {raw!r}"
+        )
+    if not raw:
+        raise MalformedDocument(f"instance '{inst_name}': empty hierarchy_path")
+    paths[tuple(raw)] = path = tuple(raw)
+    return path
+
+
 def _resolve_endpoint(ep, by_name: dict[str, Instance], net_name: str) -> tuple[int, str]:
-    inst_name, pin = ep[0], ep[1]
+    if type(ep) is not list:  # a two-character string would unpack too
+        raise TypeError(f"endpoint {ep!r} is not a list")
+    inst_name, pin = ep
     inst = by_name.get(inst_name)
     if inst is None:
         raise DanglingPin(f"net '{net_name}': unknown instance '{inst_name}'")
@@ -188,13 +253,14 @@ def parse_netlist(source: str | os.PathLike) -> Netlist:
     is read as bytes and decoded by the JSON decoder (UTF-8, -16 or -32).
 
     Raises MissingInstances, DanglingPin, DuplicateName, BadOutline or
-    MalformedDocument on invalid input.
+    MalformedDocument on invalid input, including a value of the wrong type
+    or shape.
     """
     if isinstance(source, os.PathLike):
         source = Path(source).read_bytes()
     try:
         doc = json.loads(source)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument("top level must be an object")
@@ -202,24 +268,10 @@ def parse_netlist(source: str | os.PathLike) -> Netlist:
     if unknown:
         raise MalformedDocument(f"unknown top-level keys: {sorted(unknown)}")
 
-    outline_raw = doc.get("outline")
-    if not isinstance(outline_raw, dict):
-        raise BadOutline("missing or malformed 'outline'")
-    try:
-        outline = (float(outline_raw["width"]), float(outline_raw["height"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadOutline(f"outline needs numeric width/height: {exc}") from exc
-    if outline[0] <= 0 or outline[1] <= 0:
-        raise BadOutline(f"outline must be positive, got {outline}")
+    outline = _parse_outline(doc)
+    masters = _parse_masters(doc)
 
-    masters: dict[str, Master] = {}
-    for entry in doc.get("masters", []):
-        m = _parse_master(entry)
-        if m.name in masters:
-            raise DuplicateName(f"duplicate master '{m.name}'")
-        masters[m.name] = m
-
-    raw_instances = doc.get("instances", [])
+    raw_instances = _object(doc, "instances", list)
     if not raw_instances:
         raise MissingInstances("netlist has no instances")
     instances: list[Instance] = []
@@ -229,37 +281,40 @@ def parse_netlist(source: str | os.PathLike) -> Netlist:
         try:
             name = entry["name"]
             master_name = entry["master"]
-            path = tuple(entry["hierarchy_path"])
-            path = paths.setdefault(path, path)
+            master = masters.get(master_name)
+            path = paths.get(tuple(entry["hierarchy_path"]))
         except (KeyError, TypeError) as exc:
             raise MalformedDocument(f"bad instance entry: {entry!r} ({exc})") from exc
+        if type(name) is not str:
+            raise MalformedDocument(f"instance name must be a string, got {name!r}")
         if name in by_name:
             raise DuplicateName(f"duplicate instance '{name}'")
-        if master_name not in masters:
+        if master is None:
             raise UnknownMaster(f"instance '{name}': unknown master '{master_name}'")
-        if not path:
-            raise MalformedDocument(f"instance '{name}': empty hierarchy_path")
-        inst = Instance(idx, name, masters[master_name], path)
+        path = path or _intern_path(paths, entry["hierarchy_path"], name)
+        inst = Instance(idx, name, master, path)
         instances.append(inst)
         by_name[name] = inst
 
     nets: list[Net] = []
-    for idx, entry in enumerate(doc.get("nets", [])):
+    for idx, entry in enumerate(_object(doc, "nets", list)):
         try:
             base = entry["base_name"]
             driver_raw = entry["driver"]
             sinks_raw = entry["sinks"]
-        except (KeyError, TypeError) as exc:
+            bw = entry.get("bit_width", 1)
+            if type(base) is not str:
+                raise MalformedDocument(f"net base_name must be a string, got {base!r}")
+            if type(bw) is not int or bw < 1:
+                raise MalformedDocument(f"net '{base}': bit_width must be an integer >= 1")
+            driver = _resolve_endpoint(driver_raw, by_name, base)
+            sinks = tuple([_resolve_endpoint(s, by_name, base) for s in sinks_raw])
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedDocument(f"bad net entry: {entry!r} ({exc})") from exc
-        bw = int(entry.get("bit_width", 1))
-        if bw < 1:
-            raise MalformedDocument(f"net '{base}': bit_width must be >= 1")
-        driver = _resolve_endpoint(driver_raw, by_name, base)
-        sinks = tuple([_resolve_endpoint(s, by_name, base) for s in sinks_raw])
         nets.append(Net(idx, base, driver, sinks, bw))
 
     io_side = []
-    raw_sides = doc.get("io_side", {})
+    raw_sides = _object(doc, "io_side", dict)
     for name in sorted(raw_sides):
         inst = by_name.get(name)
         if inst is None:
@@ -579,21 +634,12 @@ def parse_verilog_subset(text: str, geometry: str | dict) -> Netlist:
     if isinstance(geometry, str):
         try:
             geometry = json.loads(geometry)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedDocument(f"geometry sidecar is not valid JSON: {exc}") from exc
-
-    outline_raw = geometry.get("outline")
-    if not isinstance(outline_raw, dict):
-        raise BadOutline("geometry sidecar missing 'outline'")
-    outline = (float(outline_raw.get("width", 0)), float(outline_raw.get("height", 0)))
-    if outline[0] <= 0 or outline[1] <= 0:
-        raise BadOutline(f"outline must be positive, got {outline}")
-    masters: dict[str, Master] = {}
-    for entry in geometry.get("masters", []):
-        m = _parse_master(entry)
-        if m.name in masters:
-            raise DuplicateName(f"duplicate master '{m.name}'")
-        masters[m.name] = m
+    if not isinstance(geometry, dict):
+        raise MalformedDocument(f"geometry sidecar must be an object, got {geometry!r}")
+    outline = _parse_outline(geometry)
+    masters = _parse_masters(geometry)
     io_master = next(
         (masters[k] for k in sorted(masters) if masters[k].kind == IO_PAD), None
     )
@@ -675,7 +721,7 @@ def parse_verilog_subset(text: str, geometry: str | dict) -> Netlist:
                 )
 
     root_scope = (top.name,)
-    side_map = dict(geometry.get("io_side", {}))
+    side_map = _object(geometry, "io_side", dict)
     io_dirs: dict[int, str] = {}
     io_side: list[tuple[int, str]] = []
     for pidx, (pname, direction, width) in enumerate(top.ports):

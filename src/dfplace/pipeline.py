@@ -92,15 +92,8 @@ class GpConfig:
 
 
 @dataclass
-class SaConfig:
-    t0_factor: float = 1.0
-    cooling: float = 0.97
-    moves_per_temp: int = 200
-    t_min_ratio: float = 1e-4
+class SaConfig(placer.SaSchedule):
     rounds: int = 2  # GP <-> macro placement refinement rounds
-
-    def schedule(self) -> placer.SaSchedule:
-        return placer.SaSchedule(self.t0_factor, self.cooling, self.moves_per_temp, self.t_min_ratio)
 
 
 @dataclass
@@ -381,7 +374,7 @@ def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineRe
         sa_seed = seeds["sa"]
         for r in range(max(1, config.sa.rounds)):
             sp, fp, loss = placer.run_sa(
-                sp, res.graph, cn, outline, config.sa.schedule(),
+                sp, res.graph, cn, outline, config.sa,
                 sa_seed + r, positions, pcfg,
             )
             if r + 1 < config.sa.rounds:

@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+import dfplace.finetune as finetune
 from dfplace import (
     decide_and_apply_flip,
     decompose_dataflow_vectors,
@@ -9,7 +12,7 @@ from dfplace import (
     run_flipping_pass,
     total_hpwl,
 )
-from dfplace.dataflow import CC, MC, MCC, MM_DIRECT, DataflowEdge, DataflowGraph
+from dfplace.dataflow import CC, MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowEdge, DataflowGraph
 from dfplace.errors import EmptyCluster
 from dfplace.finetune import FlipVector, compose_orientation
 from dfplace.metrics import category_hpwl
@@ -291,3 +294,76 @@ def test_alignment_postcondition_on_applied_flips(seed):
         sgn = lambda v: (v > 0) - (v < 0)
         assert sgn(d.x_vt) * sgn(pcx - ccx) >= 0
         assert sgn(d.y_vt) * sgn(pcy - ccy) >= 0
+
+
+def test_guard_keeps_a_flip_that_ties():
+    # pin at x=0.2 left of the center 0.6; cells at 0.6 -+ 1.7, the right
+    # one heavier: FS moves the pin to 1.0 and both HPWLs read 3.4, but the
+    # float sums differ by one ulp (4.4e-16), which must not count as a rise
+    fp = Floorplan(
+        (10.0, 10.0),
+        {0: MacroPlacement(0.1, 2.0, 1.0, 1.0, "N", ((0.1, 0.5),))},
+        {1: (0.6 - 1.7, 2.5), 2: (0.6 + 1.7, 2.5)},
+    )
+    g = DataflowGraph((DataflowEdge(MC, 0, 1, 1.0, 1), DataflowEdge(MC, 0, 2, 3.0, 3)))
+    (d,) = run_flipping_pass(fp, g, guard=True)
+    assert d.mode == "FS"
+    assert d.post_hpwl != d.pre_hpwl  # the roundoff is there
+    assert d.applied
+    assert fp.macro_placements[0].orientation == "FS"
+
+
+def with_two_hop_edges(seed):
+    """A random flip scene plus MM_indirect, CC and MCC edges."""
+    fp, g = random_flip_scene(seed)
+    rng = np.random.default_rng(seed + 7000)
+    macros, cells = sorted(fp.macro_placements), sorted(fp.cluster_positions)
+    extra = []
+    for m in macros:
+        for c1 in cells:
+            for c2 in cells:
+                if c1 != c2 and rng.random() < 0.3:
+                    extra.append(DataflowEdge(MCC, m, c2, float(rng.integers(1, 9)), 1,
+                                              via=c1, first_hop=1.0))
+        if rng.random() < 0.5:
+            m2 = int(rng.choice(macros))
+            if m2 != m:
+                extra.append(DataflowEdge(MM_INDIRECT, min(m, m2), max(m, m2), 2.0, 1))
+    extra += [DataflowEdge(CC, c1, c2, 1.0, 1) for c1 in cells for c2 in cells if c1 < c2]
+    return fp, DataflowGraph(g.edges + tuple(extra))
+
+
+@pytest.mark.parametrize("guard", [True, False])
+@pytest.mark.parametrize("seed", range(15))
+def test_pass_matches_whole_graph_reference(seed, guard):
+    for fp, g in (random_flip_scene(seed), with_two_hop_edges(seed)):
+        ref_fp = copy.deepcopy(fp)
+        ref = []
+        for macro_id in order_macros_for_flipping(g, ref_fp):
+            fv = decompose_dataflow_vectors(macro_id, g, ref_fp)
+            ref.append(decide_and_apply_flip(macro_id, fv, ref_fp, g, guard))
+        log = run_flipping_pass(fp, g, guard=guard)
+        assert [d.macro_id for d in log] == [d.macro_id for d in ref]
+        for d, r in zip(log, ref):
+            assert (d.mode, d.applied, d.x_vt, d.y_vt) == (r.mode, r.applied, r.x_vt, r.y_vt)
+            assert d.post_hpwl - d.pre_hpwl == pytest.approx(r.post_hpwl - r.pre_hpwl, abs=1e-9)
+            assert d.pre_hpwl == pytest.approx(r.pre_hpwl, abs=1e-9)
+        assert {m: p.orientation for m, p in fp.macro_placements.items()} == {
+            m: p.orientation for m, p in ref_fp.macro_placements.items()}
+
+
+def test_pass_sums_the_whole_graph_once(monkeypatch):
+    fp, g = with_two_hop_edges(3)
+    graphs = []
+
+    def counting(fp_, graph):
+        graphs.append(graph)
+        return total_hpwl(fp_, graph)
+
+    monkeypatch.setattr(finetune, "total_hpwl", counting)
+    log = run_flipping_pass(fp, g)
+    assert sum(graph is g for graph in graphs) == 1
+    assert len(graphs) > 1  # the guard reads incident graphs through the same name
+    last = log[-1]  # the running total ends at the design's HPWL
+    end = last.post_hpwl if last.applied else last.pre_hpwl
+    assert end == pytest.approx(total_hpwl(fp, g), abs=1e-9)

@@ -75,11 +75,21 @@ def test_duplicate_instance_name_rejected():
         parse_netlist(json.dumps(doc))
 
 
-@pytest.mark.parametrize("outline", [
+BAD_OUTLINES = [
     {"width": 0, "height": 10},
     {"width": 10, "height": -1},
     {},
-])
+    {"width": "x", "height": 10},
+    {"width": None, "height": 10},
+    {"width": "10", "height": 10},
+    {"width": True, "height": 10},
+    {"width": float("inf"), "height": 10},
+    {"width": 10 ** 400, "height": 10},
+    None,
+]
+
+
+@pytest.mark.parametrize("outline", BAD_OUTLINES)
 def test_bad_outline_rejected(outline):
     with pytest.raises(BadOutline):
         parse_netlist(json.dumps(make_doc(outline=outline)))
@@ -283,6 +293,20 @@ def test_verilog_unknown_master():
     src = "module top;\n  wire w;\n  MYSTERY u1 (.a(w));\nendmodule\n"
     with pytest.raises(UnknownMaster):
         parse_verilog_subset(src, GEOMETRY)
+
+
+@pytest.mark.parametrize("outline", BAD_OUTLINES)
+def test_verilog_bad_outline_rejected(outline):
+    src = "module top;\n  wire w;\n  INV u1 (.y(w));\nendmodule\n"
+    with pytest.raises(BadOutline):
+        parse_verilog_subset(src, {**GEOMETRY, "outline": outline})
+
+
+@pytest.mark.parametrize("geometry", ["[]", "3", "null", [], 3, None])
+def test_verilog_sidecar_must_be_an_object(geometry):
+    src = "module top;\n  wire w;\n  INV u1 (.y(w));\nendmodule\n"
+    with pytest.raises(MalformedDocument):
+        parse_verilog_subset(src, geometry)
 
 
 def test_verilog_unknown_pin_message():

@@ -1,9 +1,11 @@
+import copy
 import gc
 import json
 
+import numpy as np
 import pytest
 
-from dfplace import generate_design, render_svg, run_pipeline, serialize_netlist
+from dfplace import generate_design, random_netlist, render_svg, run_pipeline, serialize_netlist
 from dfplace.cli import main as cli_main
 from dfplace.dataflow import DataflowGraph
 from dfplace.errors import ConfigError, DanglingPin, MalformedDocument, PipelineStageError
@@ -297,6 +299,125 @@ def test_flag_overrides_keep_the_file_section(tmp_path):
     path = write_cli_config(tmp_path, loss={"mc_scale": 2.0, "variant": "eq6"})
     cfg = load_config(path, {"loss": {"variant": "eq5"}, "seed": 9})
     assert (cfg.loss.variant, cfg.loss.mc_scale, cfg.seed) == ("eq5", 2.0, 9)
+
+
+# ---------------------------------------------------------------------------
+# malformed netlist input: exit 4, never 7
+# ---------------------------------------------------------------------------
+
+def two_cell_doc():
+    return {
+        "outline": {"width": 20.0, "height": 20.0},
+        "masters": [{"name": "C", "width": 1.0, "height": 1.0, "kind": "cell",
+                     "pin_offsets": [["a", 0.0, 0.5], ["y", 1.0, 0.5]], "out_pins": ["y"]}],
+        "instances": [{"name": "u", "master": "C", "hierarchy_path": ["top"]},
+                      {"name": "v", "master": "C", "hierarchy_path": ["top"]}],
+        "nets": [{"base_name": "n", "driver": ["u", "y"], "sinks": [["v", "a"]],
+                  "bit_width": 1}],
+        "io_side": {},
+    }
+
+
+def place_document(tmp_path, doc, **config):
+    """Exit code of ``dfplace place`` on ``doc`` through the extract stage."""
+    (tmp_path / "design.json").write_text(json.dumps(doc))
+    cfg = {"netlist": str(tmp_path / "design.json"), "out_dir": str(tmp_path / "out"),
+           "stop_stage": "extract", "clustering": {"min_cells": 1, "max_cells": 40}, **config}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    return cli_main(["place", str(tmp_path / "config.json")])
+
+
+def test_two_cell_document_places(tmp_path):
+    assert place_document(tmp_path, two_cell_doc()) == 0
+
+
+@pytest.mark.parametrize("path,value", [
+    (("masters", 0, "pin_offsets", 0), ["a"]),
+    (("masters", 0, "pin_offsets", 0), ["a", "x", 0]),
+    (("masters", 0, "pin_offsets"), 5),
+    (("masters", 0, "out_pins"), 5),
+    (("nets", 0, "driver"), ["u"]),
+    (("nets", 0, "driver"), "u"),
+    (("nets", 0, "driver"), {"u": 0, "y": 1}),
+    (("nets", 0, "sinks", 0), "va"),
+    (("nets", 0, "sinks"), 3),
+    (("nets", 0, "bit_width"), "x"),
+    (("nets", 0, "bit_width"), 2.5),
+    (("nets",), 3),
+    (("io_side",), ["u"]),
+    (("instances", 0, "master"), ["C"]),
+    (("instances", 0, "hierarchy_path"), [1]),
+    (("instances", 0, "hierarchy_path"), "top"),
+])
+def test_cli_malformed_netlist_entry_exit_code(tmp_path, capsys, path, value):
+    doc = two_cell_doc()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert place_document(tmp_path, doc) == 4
+    assert "stage 'parse'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("geometry", [
+    {"outline": {"width": "x", "height": 30.0}},
+    {"outline": {"width": None, "height": 30.0}},
+    [],
+    3,
+])
+def test_cli_malformed_geometry_sidecar_exit_code(tmp_path, geometry):
+    (tmp_path / "top.v").write_text("module top;\n  wire w;\n  C u (.y(w));\nendmodule\n")
+    (tmp_path / "geo.json").write_text(json.dumps(geometry))
+    cfg = {"verilog": str(tmp_path / "top.v"), "geometry": str(tmp_path / "geo.json"),
+           "out_dir": str(tmp_path / "out"), "stop_stage": "parse"}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert cli_main(["place", str(tmp_path / "config.json")]) == 4
+
+
+FUZZ_VALUES = (3, 2.5, -1, 0, "x", "", None, True, [], ["u"], [1], {}, {"a": 1}, float("nan"))
+
+
+def mutate_document(doc, rng):
+    """Copy of ``doc`` with one value, picked at random from every nested
+    value, replaced by a value of another type or reshaped."""
+    doc = copy.deepcopy(doc)
+    sites = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            sites.append(path + (key,))
+            if isinstance(value, (dict, list)):
+                walk(value, path + (key,))
+
+    walk(doc, ())
+    path = sites[int(rng.integers(len(sites)))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value, op = parent[path[-1]], int(rng.integers(4))
+    if op == 0 or not isinstance(value, (dict, list)) or not value:
+        parent[path[-1]] = FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))]
+    elif op == 1:  # drop one item
+        keys = list(value) if isinstance(value, dict) else list(range(len(value)))
+        del value[keys[int(rng.integers(len(keys)))]]
+    elif op == 2:  # wrap in a list
+        parent[path[-1]] = [value]
+    else:  # keep only the first item, unwrapped
+        parent[path[-1]] = next(iter(value.values())) if isinstance(value, dict) else value[0]
+    return doc
+
+
+def test_cli_fuzzed_netlist_never_exits_7(tmp_path, capsys):
+    base = json.loads(serialize_netlist(random_netlist(0, n_cells=6, n_macros=2, n_nets=8)))
+    rng = np.random.default_rng(2024)
+    codes = {}
+    for _ in range(200):
+        code = place_document(tmp_path, mutate_document(base, rng))
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4, 5, 6), err
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(4, 0) > 100  # most mutations do break the document
 
 
 # ---------------------------------------------------------------------------
