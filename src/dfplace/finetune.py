@@ -152,6 +152,22 @@ def _sign(v: float) -> int:
     return (v > 0) - (v < 0)
 
 
+def _flip_mode(macro_id: int, fv: FlipVector, fp: Floorplan) -> str:
+    """The mirror that leans the macro's pin center along the total vector.
+
+    An axis counts as misaligned when the vector component and the
+    pin-center offset have strictly opposite signs, so zero components or
+    centered pins never flip.
+    Mode S mirrors both axes, FS only left/right, FN only up/down, N none.
+    """
+    mp = fp.macro_placements[macro_id]
+    pcx, pcy = mp.pin_center()
+    ccx, ccy = mp.center()
+    xvt, yvt = fv.v_t
+    misaligned = (_sign(xvt) * _sign(pcx - ccx) < 0, _sign(yvt) * _sign(pcy - ccy) < 0)
+    return {(True, True): "S", (True, False): "FS", (False, True): "FN"}.get(misaligned, "N")
+
+
 def decide_and_apply_flip(
     macro_id: int,
     fv: FlipVector,
@@ -159,24 +175,12 @@ def decide_and_apply_flip(
     graph: DataflowGraph,
     guard: bool = True,
 ) -> FlipDecision:
-    """Mirror the macro so its pin center leans along the total vector.
-
-    An axis counts as misaligned when the vector component and the
-    pin-center offset have strictly opposite signs, so zero components or
-    centered pins never flip.
-    Mode S mirrors both axes, FS only left/right, FN only up/down.  With the
-    guard on, a flip that raises the HPWL of ``graph`` by more than
-    ``TIE_TOLERANCE`` of it is reverted (applied=False).
-    """
+    """Mirror the macro by ``_flip_mode``.  With the guard on, a flip that
+    raises the HPWL of ``graph`` by more than ``TIE_TOLERANCE`` of it is
+    reverted (applied=False)."""
     mp = fp.macro_placements[macro_id]
-    pcx, pcy = mp.pin_center()
-    ccx, ccy = mp.center()
-    dx, dy = pcx - ccx, pcy - ccy
     xvt, yvt = fv.v_t
-
-    misaligned = (_sign(xvt) * _sign(dx) < 0, _sign(yvt) * _sign(dy) < 0)
-    mode = {(True, True): "S", (True, False): "FS", (False, True): "FN"}.get(misaligned, "N")
-
+    mode = _flip_mode(macro_id, fv, fp)
     pre = total_hpwl(fp, graph)
     if mode == "N":
         return FlipDecision(macro_id, "N", xvt, yvt, pre, pre, False)
@@ -204,6 +208,7 @@ def run_flipping_pass(
     Each macro is decided on the graph of its incident edges.  The log's
     ``pre_hpwl``/``post_hpwl`` are design totals: one whole-graph
     ``total_hpwl`` carried forward by each applied flip's incident delta.
+    A macro whose mode is N moves nothing, so it costs no HPWL sum.
     """
     incident = _incidence(graph)
     total = total_hpwl(fp, graph)
@@ -211,11 +216,14 @@ def run_flipping_pass(
     for macro_id in _flip_order(incident, fp):
         local = DataflowGraph(tuple(incident.get(macro_id, ())))
         fv = decompose_dataflow_vectors(macro_id, local, fp, alpha, beta, gamma)
-        d = decide_and_apply_flip(macro_id, fv, fp, local, guard)
-        delta = d.post_hpwl - d.pre_hpwl
-        d.pre_hpwl, d.post_hpwl = total, total + delta
-        if d.applied:
-            total += delta
+        if _flip_mode(macro_id, fv, fp) == "N":
+            d = FlipDecision(macro_id, "N", *fv.v_t, total, total, False)
+        else:
+            d = decide_and_apply_flip(macro_id, fv, fp, local, guard)
+            delta = d.post_hpwl - d.pre_hpwl
+            d.pre_hpwl, d.post_hpwl = total, total + delta
+            if d.applied:
+                total += delta
         d.name = names.get(macro_id, str(macro_id)) if names else str(macro_id)
         decisions.append(d)
     return decisions

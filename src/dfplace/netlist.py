@@ -282,7 +282,9 @@ def parse_netlist(source: str | os.PathLike) -> Netlist:
             name = entry["name"]
             master_name = entry["master"]
             master = masters.get(master_name)
-            path = paths.get(tuple(entry["hierarchy_path"]))
+            raw_path = entry["hierarchy_path"]
+            # a string would match the cached tuple of its characters
+            path = paths.get(tuple(raw_path)) if type(raw_path) is list else None
         except (KeyError, TypeError) as exc:
             raise MalformedDocument(f"bad instance entry: {entry!r} ({exc})") from exc
         if type(name) is not str:
@@ -291,7 +293,7 @@ def parse_netlist(source: str | os.PathLike) -> Netlist:
             raise DuplicateName(f"duplicate instance '{name}'")
         if master is None:
             raise UnknownMaster(f"instance '{name}': unknown master '{master_name}'")
-        path = path or _intern_path(paths, entry["hierarchy_path"], name)
+        path = path or _intern_path(paths, raw_path, name)
         inst = Instance(idx, name, master, path)
         instances.append(inst)
         by_name[name] = inst

@@ -8,6 +8,7 @@ packing is optimized with Metropolis annealing against the dataflow loss.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -400,6 +401,8 @@ def global_place_clusters(
     ``macro_refs`` is given, and other cell clusters), then relocates
     clusters out of over-full grid bins.  Deterministic for a given seed.
     Only one-hop MC and CC edges exert pull; derived edges would double count.
+    ``np.bincount`` adds each cell's (neighbour, weight) rows in edge order,
+    so the barycenters are the sums a per-cell loop forms.
     """
     if not cn.clusters:
         raise EmptyGraph("clustered netlist has no clusters")
@@ -410,72 +413,65 @@ def global_place_clusters(
     fixed = dict(io_anchor_positions(cn, outline))
     if macro_refs:
         fixed.update(macro_refs)
-    cellset = set(cells)
+    n = len(cells)
+    index = {c: i for i, c in enumerate(cells)}
+    slot = {**index, **{c: n + k for k, c in enumerate(fixed)}}  # rows of P; fixed wins
 
-    nbrs: dict[int, list[tuple[int, float]]] = {c: [] for c in cells}
+    rows = []  # (cell, neighbour slot, weight); an unplaced neighbour never pulls
     for e in graph.edges:
-        if e.kind == MC:
-            cell, other = (e.src, e.dst) if e.src in cellset else (e.dst, e.src)
-            nbrs[cell].append((other, e.weight))
-        elif e.kind == CC:
-            nbrs[e.src].append((e.dst, e.weight))
-            nbrs[e.dst].append((e.src, e.weight))
+        if e.kind == CC:
+            pairs = ((e.src, e.dst), (e.dst, e.src))
+        elif e.kind == MC:
+            pairs = ((e.src, e.dst) if e.src in index else (e.dst, e.src),)
+        else:
+            continue
+        rows += [(index[c], slot[o], e.weight) for c, o in pairs if o in slot]
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    (owner, nb), w = table[:, :2].astype(np.intp).T, table[:, 2]
+    sw = np.bincount(owner, weights=w, minlength=n)
+    pulled = sw > 0
+    P = np.array([(width / 2.0, height / 2.0)] * n + list(fixed.values()), dtype=float)
+    xy = P[:n]
 
     rng = np.random.default_rng(seed)
-    pos = {c: (width / 2.0, height / 2.0) for c in cells}
     grid = 8
     bw, bh = width / grid, height / grid
-    cap = max(1, math.ceil(len(cells) / (grid * grid)))
+    cap = max(1, math.ceil(n / (grid * grid)))
 
     for _ in range(iterations):
-        new = {}
-        for c in cells:
-            sw = sx = sy = 0.0
-            for other, w in nbrs[c]:
-                p = fixed.get(other)
-                if p is None:
-                    p = pos.get(other)
-                if p is None:
-                    continue  # unplaced macro during the first pass
-                sw += w
-                sx += w * p[0]
-                sy += w * p[1]
-            new[c] = (sx / sw, sy / sw) if sw > 0 else pos[c]
-        pos = new
+        for axis in (0, 1):
+            s = np.bincount(owner, weights=w * P[nb, axis], minlength=n)
+            xy[pulled, axis] = s[pulled] / sw[pulled]
+        # a pull from outside the outline gives negative bins; shifting by
+        # ``lo`` keeps the flat ``key`` in (bx, by) order
+        cols = np.minimum((xy / (width, height) * grid).astype(np.intp), grid - 1)
+        lo = min(0, int(cols.min()))
+        span = grid - lo
+        key = (cols[:, 0] - lo) * span + (cols[:, 1] - lo)
+        count = np.bincount(key, minlength=span * span)
+        occupancy = count.reshape(span, span)[-lo:, -lo:].ravel().tolist()
+        order = np.argsort(key, kind="stable").tolist()
+        ends = np.cumsum(count).tolist()
+        for k in np.flatnonzero(count > cap).tolist():
+            # targets only fill up and a source never drops below ``cap``,
+            # so the walk over the nearest-first bins never steps back
+            ranked = _bins_by_distance(k // span + lo, k % span + lo, grid)
+            p = 0
+            for c in order[ends[k] - int(count[k]) + cap:ends[k]]:
+                while occupancy[ranked[p]] >= cap:
+                    p += 1
+                occupancy[ranked[p]] += 1
+                tx, ty = divmod(ranked[p], grid)
+                xy[c] = ((tx + 0.5) * bw + rng.uniform(-bw / 4, bw / 4),
+                         (ty + 0.5) * bh + rng.uniform(-bh / 4, bh / 4))
+        np.clip(xy, 0.0, (width, height), out=xy)
+    return dict(zip(cells, map(tuple, xy.tolist())))
 
-        bins: dict[tuple[int, int], list[int]] = {}
-        for c in cells:
-            bx = min(grid - 1, int(pos[c][0] / width * grid))
-            by = min(grid - 1, int(pos[c][1] / height * grid))
-            bins.setdefault((bx, by), []).append(c)
-        occupancy = {b: len(v) for b, v in bins.items()}
-        for b in sorted(bins):
-            members = bins[b]
-            if len(members) <= cap:
-                continue
-            for c in members[cap:]:
-                target = min(
-                    (
-                        (bx, by)
-                        for bx in range(grid)
-                        for by in range(grid)
-                        if occupancy.get((bx, by), 0) < cap
-                    ),
-                    key=lambda t: ((t[0] - b[0]) ** 2 + (t[1] - b[1]) ** 2, t),
-                    default=None,
-                )
-                if target is None:
-                    break
-                occupancy[b] -= 1
-                occupancy[target] = occupancy.get(target, 0) + 1
-                cx = (target[0] + 0.5) * bw + rng.uniform(-bw / 4, bw / 4)
-                cy = (target[1] + 0.5) * bh + rng.uniform(-bh / 4, bh / 4)
-                pos[c] = (cx, cy)
-        pos = {
-            c: (min(max(p[0], 0.0), width), min(max(p[1], 0.0), height))
-            for c, p in pos.items()
-        }
-    return pos
+
+@functools.lru_cache(maxsize=256)
+def _bins_by_distance(bx: int, by: int, grid: int) -> tuple[int, ...]:
+    """Grid bins ``tx * grid + ty``, nearest to bin (bx, by) first, then by (tx, ty)."""
+    return tuple(sorted(range(grid * grid), key=lambda t: ((t // grid - bx) ** 2 + (t % grid - by) ** 2, t)))
 
 
 # ---------------------------------------------------------------------------

@@ -134,3 +134,105 @@ def congestion_deposit_brute(fp, graph, x_edges, y_edges):
                     share = oy / (hi_y - lo_y)
                 demand[yi][xi] += total * share / bin_area
     return demand
+
+
+def global_place_reference(
+    graph,
+    cn,
+    outline: tuple[float, float],
+    iterations: int = 20,
+    seed: int = 0,
+    macro_refs: dict[int, tuple[float, float]] | None = None,
+) -> dict[int, tuple[float, float]]:
+    """The dict-based global placement that ``placer.global_place_clusters``
+    must reproduce bit for bit: weighted barycenter plus density spreading.
+
+    Every iteration moves each cluster to the edge-weighted mean of its
+    connected positions (IO anchors, already-placed macros when
+    ``macro_refs`` is given, and other cell clusters), then relocates
+    clusters out of over-full grid bins.  Deterministic for a given seed.
+    Only one-hop MC and CC edges exert pull; derived edges would double count.
+    """
+    import math
+
+    import numpy as np
+
+    from dfplace.dataflow import CC, MC
+    from dfplace.errors import EmptyGraph
+    from dfplace.placer import io_anchor_positions
+
+    if not cn.clusters:
+        raise EmptyGraph("clustered netlist has no clusters")
+    cells = sorted(cn.cell_cluster_ids())
+    if not cells:
+        return {}
+    width, height = outline
+    fixed = dict(io_anchor_positions(cn, outline))
+    if macro_refs:
+        fixed.update(macro_refs)
+    cellset = set(cells)
+
+    nbrs: dict[int, list[tuple[int, float]]] = {c: [] for c in cells}
+    for e in graph.edges:
+        if e.kind == MC:
+            cell, other = (e.src, e.dst) if e.src in cellset else (e.dst, e.src)
+            nbrs[cell].append((other, e.weight))
+        elif e.kind == CC:
+            nbrs[e.src].append((e.dst, e.weight))
+            nbrs[e.dst].append((e.src, e.weight))
+
+    rng = np.random.default_rng(seed)
+    pos = {c: (width / 2.0, height / 2.0) for c in cells}
+    grid = 8
+    bw, bh = width / grid, height / grid
+    cap = max(1, math.ceil(len(cells) / (grid * grid)))
+
+    for _ in range(iterations):
+        new = {}
+        for c in cells:
+            sw = sx = sy = 0.0
+            for other, w in nbrs[c]:
+                p = fixed.get(other)
+                if p is None:
+                    p = pos.get(other)
+                if p is None:
+                    continue  # unplaced macro during the first pass
+                sw += w
+                sx += w * p[0]
+                sy += w * p[1]
+            new[c] = (sx / sw, sy / sw) if sw > 0 else pos[c]
+        pos = new
+
+        bins: dict[tuple[int, int], list[int]] = {}
+        for c in cells:
+            bx = min(grid - 1, int(pos[c][0] / width * grid))
+            by = min(grid - 1, int(pos[c][1] / height * grid))
+            bins.setdefault((bx, by), []).append(c)
+        occupancy = {b: len(v) for b, v in bins.items()}
+        for b in sorted(bins):
+            members = bins[b]
+            if len(members) <= cap:
+                continue
+            for c in members[cap:]:
+                target = min(
+                    (
+                        (bx, by)
+                        for bx in range(grid)
+                        for by in range(grid)
+                        if occupancy.get((bx, by), 0) < cap
+                    ),
+                    key=lambda t: ((t[0] - b[0]) ** 2 + (t[1] - b[1]) ** 2, t),
+                    default=None,
+                )
+                if target is None:
+                    break
+                occupancy[b] -= 1
+                occupancy[target] = occupancy.get(target, 0) + 1
+                cx = (target[0] + 0.5) * bw + rng.uniform(-bw / 4, bw / 4)
+                cy = (target[1] + 0.5) * bh + rng.uniform(-bh / 4, bh / 4)
+                pos[c] = (cx, cy)
+        pos = {
+            c: (min(max(p[0], 0.0), width), min(max(p[1], 0.0), height))
+            for c, p in pos.items()
+        }
+    return pos

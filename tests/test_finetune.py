@@ -367,3 +367,23 @@ def test_pass_sums_the_whole_graph_once(monkeypatch):
     last = log[-1]  # the running total ends at the design's HPWL
     end = last.post_hpwl if last.applied else last.pre_hpwl
     assert end == pytest.approx(total_hpwl(fp, g), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pass_sums_nothing_for_mode_n(monkeypatch, seed):
+    fp, g = with_two_hop_edges(seed)
+    m0 = fp.macro_placements[0]
+    m0.pins = ((m0.width / 2, m0.height / 2),)  # a centered pin never flips
+    calls = []
+
+    def counting(fp_, graph):
+        calls.append(graph)
+        return total_hpwl(fp_, graph)
+
+    monkeypatch.setattr(finetune, "total_hpwl", counting)
+    log = run_flipping_pass(fp, g)
+    modes = [d.mode for d in log]
+    assert "N" in modes and len(set(modes)) > 1
+    # one whole-graph sum, then the guard's pre and post sums per macro that
+    # has a flip to try
+    assert len(calls) == 1 + 2 * sum(m != "N" for m in modes)

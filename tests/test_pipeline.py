@@ -348,6 +348,9 @@ def test_two_cell_document_places(tmp_path):
     (("instances", 0, "master"), ["C"]),
     (("instances", 0, "hierarchy_path"), [1]),
     (("instances", 0, "hierarchy_path"), "top"),
+    # a string after a list of its own characters, which the path cache holds
+    (("instances",), [{"name": "u", "master": "C", "hierarchy_path": ["t", "o", "p"]},
+                      {"name": "v", "master": "C", "hierarchy_path": "top"}]),
 ])
 def test_cli_malformed_netlist_entry_exit_code(tmp_path, capsys, path, value):
     doc = two_cell_doc()

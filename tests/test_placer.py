@@ -31,7 +31,8 @@ from dfplace.placer import (
     _decode_sp,
     _LossEvaluator,
 )
-from oracles import any_overlap
+from dfplace.synth import random_netlist
+from oracles import any_overlap, global_place_reference
 
 
 def prepared(seed=0, **kwargs):
@@ -381,6 +382,69 @@ def test_gp_empty_graph_error():
     empty = ClusteredNetlist(None, (), (), ())
     with pytest.raises(EmptyGraph):
         global_place_clusters(DataflowGraph(()), empty, (10.0, 10.0), 3, 0)
+
+
+def gp_scene(seed):
+    """A random design whose dataflow graph is edited so every GP path runs.
+
+    The first cell cluster has only zero-weight MC and CC edges, so nothing
+    pulls it.  Groups of ``cap + 2`` cells are tied to one IO anchor each,
+    so several bins overflow in the first iteration, and one group to a
+    macro whose ``macro_refs`` point lies below and left of the outline,
+    so its bin has negative indices (without the refs nothing pulls it).
+    """
+    nl = bundle_buses(random_netlist(seed, n_cells=90 + 30 * (seed % 7), n_macros=5,
+                                     n_nets=120, n_pads=8))
+    cn = compute_cluster_edges(nl, build_clusters(nl, 1, 2 + seed % 3))
+    graph = extract_dataflow(cn, nl)
+    cells = sorted(cn.cell_cluster_ids())
+    ios = [c.id for c in cn.clusters if c.is_io]
+    macros = [c.id for c in cn.clusters if c.kind == "macro_cluster" and not c.is_io]
+    cap = math.ceil(len(cells) / 64)
+    anchors = ios + macros[:1]
+    groups = [cells[3 + k * (cap + 2):3 + (k + 1) * (cap + 2)] for k in range(len(anchors))]
+    assert len(ios) >= 2 and all(len(g) == cap + 2 for g in groups)
+    tied = {c: a for a, g in zip(anchors, groups) for c in g}
+    edges = [e for e in graph.edges if not {e.src, e.dst} & (set(tied) | {cells[0]})]
+    edges += [DataflowEdge(MC, tied[c], c, 50.0, 50) for c in tied]
+    edges += [DataflowEdge(CC, cells[0], cells[1], 0.0, 0),
+              DataflowEdge(MC, macros[-1], cells[0], 0.0, 0),
+              DataflowEdge(CC, cells[1], cells[2], 0.0, 0)]
+    W, H = nl.outline
+    rng = np.random.default_rng(seed)
+    refs = {m: (float(rng.uniform(0, W)), float(rng.uniform(0, H))) for m in macros}
+    refs[macros[0]] = (-0.6 * W, -0.3 * H)
+    return nl, cn, DataflowGraph(tuple(edges)), refs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_gp_equals_reference_bit_for_bit(seed):
+    nl, cn, graph, refs = gp_scene(seed)
+    for iterations in (0, 1, 8):
+        for macro_refs in (None, refs):
+            got = global_place_clusters(graph, cn, nl.outline, iterations, seed, macro_refs)
+            want = global_place_reference(graph, cn, nl.outline, iterations, seed, macro_refs)
+            assert list(got) == list(want)
+            assert got == want
+
+
+def bin_counts(pos, outline, grid=8):
+    counts = {}
+    for x, y in pos.values():
+        b = (min(grid - 1, int(x / outline[0] * grid)), min(grid - 1, int(y / outline[1] * grid)))
+        counts[b] = counts.get(b, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("iterations", [1, 2, 20])
+def test_gp_bins_hold_at_most_cap(seed, iterations):
+    nl = bundle_buses(generate_design(n_modules=6, cells_per_module=60, seed=seed))
+    cn = compute_cluster_edges(nl, build_clusters(nl, 2, 4))
+    graph = extract_dataflow(cn, nl)
+    pos = global_place_clusters(graph, cn, nl.outline, iterations, seed)
+    cap = math.ceil(len(pos) / 64)
+    assert len(pos) > 64 and max(bin_counts(pos, nl.outline).values()) <= cap
 
 
 # ---------------------------------------------------------------------------
