@@ -5,9 +5,9 @@ Usage::
     dfplace place <config.json> [--seed N] [--stage STAGE] [--push-boundary W]
                   [--no-finetune] [--loss eq5|eq6|eq8] [--out DIR]
 
-Exit codes: 0 success, 2 usage/config error, 3 missing input file,
-4 netlist validation error, 5 clustering error, 6 placement/metrics error,
-7 unexpected internal error.
+Exit codes: 0 success, 2 usage/config error, 3 input file missing (or a
+directory), 4 netlist validation error, 5 clustering error, 6
+placement/metrics error, 7 unexpected internal error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .pipeline import STAGES, load_config, run_pipeline
 
 _EXIT_CODES = [
     (errors.ConfigError, 2),
-    (FileNotFoundError, 3),
+    ((FileNotFoundError, IsADirectoryError), 3),
     (
         (
             errors.MissingInstances,

@@ -10,6 +10,7 @@ reproducible.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -37,6 +38,11 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    """A number that is neither NaN nor infinite and fits in a float."""
+    return _is_number(v) and abs(v) <= sys.float_info.max
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -54,7 +60,7 @@ def _check(ok: bool, message: str, value) -> None:
 # value must be)
 _FIELD_TYPES = {
     "int": (_is_int, "an int"),
-    "float": (_is_number, "a number"),
+    "float": (_is_finite, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "a bool"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
@@ -177,6 +183,8 @@ class PipelineConfig:
         if cfg.verilog is not None and cfg.geometry is None:
             raise ConfigError("verilog input needs a 'geometry' sidecar")
         cfg.loss.placer_config()  # validate variant early
+        _check(cfg.seed >= 0, "seed must be >= 0", cfg.seed)
+        _check(cfg.extraction.k >= 0, "extraction.k must be >= 0", cfg.extraction.k)
         sa, m = cfg.sa, cfg.metrics
         # an unbounded schedule (cooling or t_min_ratio outside (0, 1)) would
         # anneal forever, so every value is checked before any stage runs
@@ -194,8 +202,8 @@ class PipelineConfig:
                 v = getattr(cfg.loss, f.name)
                 _check(v >= 0, f"loss.{f.name} must be >= 0", v)
         _check(m.bins >= 1, "metrics.bins must be >= 1", m.bins)
-        _check(m.capacity == "auto" or (_is_number(m.capacity) and m.capacity > 0),
-               "metrics.capacity must be 'auto' or a number > 0", m.capacity)
+        _check(m.capacity == "auto" or (_is_finite(m.capacity) and m.capacity > 0),
+               "metrics.capacity must be 'auto' or a finite number > 0", m.capacity)
         return cfg
 
 

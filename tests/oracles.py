@@ -205,8 +205,8 @@ def global_place_reference(
 
         bins: dict[tuple[int, int], list[int]] = {}
         for c in cells:
-            bx = min(grid - 1, int(pos[c][0] / width * grid))
-            by = min(grid - 1, int(pos[c][1] / height * grid))
+            bx = max(0, min(grid - 1, int(pos[c][0] / width * grid)))
+            by = max(0, min(grid - 1, int(pos[c][1] / height * grid)))
             bins.setdefault((bx, by), []).append(c)
         occupancy = {b: len(v) for b, v in bins.items()}
         for b in sorted(bins):
@@ -236,3 +236,71 @@ def global_place_reference(
             for c, p in pos.items()
         }
     return pos
+
+
+def loss_reference(fp, graph, area_scale, config):
+    """The dataflow loss of a placed floorplan, one edge at a time: a dict of
+    the ``placer.LossBreakdown`` fields.
+
+    Pin centers are the mean pin offset (the footprint center when pinless),
+    mirrored across the footprint per orientation: FS mirrors x, FN mirrors
+    y, S both.  Sums run in edge order and macros in id order, so the result
+    is the implementation's bit for bit.
+    """
+    from dfplace.placer import two_hop_coefficient
+
+    mirror = {"N": (False, False), "FS": (True, False), "FN": (False, True), "S": (True, True)}
+
+    def point(cid):
+        mp = fp.macro_placements.get(cid)
+        if mp is None:
+            if cid in fp.cluster_positions:
+                return fp.cluster_positions[cid]
+            return fp.io_anchors[cid]
+        if mp.pins:
+            cx = sum(p[0] for p in mp.pins) / len(mp.pins)
+            cy = sum(p[1] for p in mp.pins) / len(mp.pins)
+        else:
+            cx, cy = mp.width / 2.0, mp.height / 2.0
+        fx, fy = mirror[mp.orientation]
+        return (mp.x + (mp.width - cx if fx else cx), mp.y + (mp.height - cy if fy else cy))
+
+    wl = {"mm": 0.0, "mc": 0.0, "mcc": 0.0}
+    loss = {"mm": 0.0, "mc": 0.0, "mcc": 0.0}
+    for e in graph.edges:
+        if e.kind == "MM_direct":
+            cat, coef = "mm", e.weight
+        elif e.kind == "MM_indirect":
+            cat, coef = "mm", e.weight * config.mm_indirect_scale
+        elif e.kind == "MC":
+            cat, coef = "mc", e.weight * config.mc_scale
+        elif e.kind == "MCC":
+            cat = "mcc"
+            coef = config.mcc_scale * two_hop_coefficient(
+                e.first_hop, e.weight, area_scale.get(e.src, 1.0), config.loss_variant
+            )
+        else:
+            continue
+        (x1, y1), (x2, y2) = point(e.src), point(e.dst)
+        h = abs(x1 - x2) + abs(y1 - y2)
+        wl[cat] += h
+        loss[cat] += coef * h
+
+    W, H = fp.outline
+    overhang = boundary = 0.0
+    for cid in sorted(fp.macro_placements):
+        mp = fp.macro_placements[cid]
+        x, y, w, h = mp.x, mp.y, mp.width, mp.height
+        ox = max(0.0, -x) + max(0.0, x + w - W)
+        oy = max(0.0, -y) + max(0.0, y + h - H)
+        overhang += ox * ox + oy * oy
+        if config.push_boundary_weight:
+            boundary += max(0.0, min(x, y, W - x - w, H - y - h))
+    overhang *= config.outline_weight
+    boundary *= config.push_boundary_weight
+    return {
+        "wl_mm": wl["mm"], "wl_mc": wl["mc"], "wl_mcc": wl["mcc"],
+        "loss_mm": loss["mm"], "loss_mc": loss["mc"], "loss_mcc": loss["mcc"],
+        "loss_outline": overhang, "loss_boundary": boundary,
+        "total": loss["mm"] + loss["mc"] + loss["mcc"] + overhang + boundary,
+    }

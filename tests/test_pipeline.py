@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -116,6 +117,29 @@ def test_full_run_writes_everything(tmp_path):
     assert len(res.flip_log) == n_macros
     timings = json.loads((tmp_path / "out" / "run.timings.json").read_text())
     assert abs(sum(timings["shares"].values()) - 1.0) < 1e-6
+
+
+def test_loss_is_called_by_name_once_per_run(tmp_path, monkeypatch):
+    # perfbench's tracer wraps the module attribute placer.compute_loss as
+    # the flip stage's span and sums every call made through it
+    import dfplace.placer as placer
+
+    calls = []
+    real = placer.compute_loss
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(placer, "compute_loss", counted)
+    cfg = PipelineConfig.from_dict(fast_config(tmp_path, sa={"moves_per_temp": 15, "rounds": 2}))
+    assert cfg.flip.enabled
+    res = run_pipeline(cfg, write_files=False)
+    assert len(calls) == 1
+    calls.clear()
+    placer.run_sa(res.sequence_pair, res.graph, res.clustered, res.floorplan.outline,
+                  placer.SaSchedule(moves_per_temp=15), 0, res.cluster_positions)
+    assert calls == []
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -260,6 +284,16 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     ("extraction", {"name_filters": None}),
     ("loss", {"variant": ["eq5"]}),
     (None, {"sa": 3}),
+    ("extraction", {"k": -1}),
+    ("extraction", {"k": float("inf")}),
+    ("extraction", {"k": float("nan")}),
+    (None, {"seed": -1}),
+    ("flip", {"alpha": float("nan")}),
+    ("flip", {"alpha": float("inf")}),
+    ("loss", {"mc_scale": float("inf")}),
+    ("sa", {"t0_factor": float("inf")}),
+    ("metrics", {"capacity": float("inf")}),
+    ("extraction", {"k": 10 ** 400}),
 ])
 def test_cli_bad_config_value_exit_code(tmp_path, section, values):
     cfg = fast_config(tmp_path)
@@ -272,8 +306,51 @@ def test_cli_bad_config_value_exit_code(tmp_path, section, values):
     assert cli_main(["place", str(path)]) == 2
 
 
+CONFIG_FUZZ_VALUES = (-1, 0, 1, 2, 0.5, -0.5, 2.5, float("nan"), float("inf"), float("-inf"),
+                      "x", "", None, [], {}, True, False, ["x"], [1])
+CONFIG_DEFAULTS = {f.name: getattr(PipelineConfig(), f.name) for f in fields(PipelineConfig)}
+CONFIG_SITES = [(name,) for name in CONFIG_DEFAULTS] + [
+    (name, f.name) for name, v in CONFIG_DEFAULTS.items() if is_dataclass(v) for f in fields(v)
+]
+
+
+def mutate_config(cfg, rng):
+    """Copy of ``cfg`` with one or two config fields (a section counts as a
+    field) set to values from ``CONFIG_FUZZ_VALUES``."""
+    cfg = copy.deepcopy(cfg)
+    picks = rng.choice(len(CONFIG_SITES), int(rng.integers(1, 3)), replace=False)
+    for site in (CONFIG_SITES[k] for k in picks.tolist()):
+        node = cfg
+        for key in site[:-1]:
+            node = node.setdefault(key, {})
+        if isinstance(node, dict):  # not a section the other pick replaced
+            node[site[-1]] = CONFIG_FUZZ_VALUES[int(rng.integers(len(CONFIG_FUZZ_VALUES)))]
+    return cfg
+
+
+def test_cli_fuzzed_config_never_exits_7(tmp_path, monkeypatch, capsys):
+    # relative output and input paths land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    base = fast_config(tmp_path)
+    rng = np.random.default_rng(0)
+    codes = {}
+    for _ in range(200):
+        cfg = mutate_config(base, rng)
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        code = cli_main(["place", str(tmp_path / "config.json")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4, 5, 6), (cfg, err)
+        codes[code] = codes.get(code, 0) + 1
+    assert min(codes.get(0, 0), codes.get(2, 0)) > 10, codes  # runs, and rejects
+
+
 def test_cli_missing_config_exit_code(tmp_path):
     assert cli_main(["place", str(tmp_path / "nope.json")]) == 3
+    # a directory is no input file, as the config or as the netlist
+    assert cli_main(["place", str(tmp_path)]) == 3
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fast_config(tmp_path, netlist=str(tmp_path))))
+    assert cli_main(["place", str(path)]) == 3
 
 
 def test_cli_loss_and_boundary_flags(tmp_path):

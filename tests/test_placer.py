@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from dfplace import (
 from dfplace.dataflow import CC, MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowEdge, DataflowGraph
 from dfplace.errors import BadPermutation, EmptyGraph, UnplacedCluster
 from dfplace.placer import (
+    ORIENT_FLAGS,
     Floorplan,
     MacroPlacement,
     MacroShape,
@@ -32,7 +34,7 @@ from dfplace.placer import (
     _LossEvaluator,
 )
 from dfplace.synth import random_netlist
-from oracles import any_overlap, global_place_reference
+from oracles import any_overlap, global_place_reference, loss_reference
 
 
 def prepared(seed=0, **kwargs):
@@ -229,7 +231,8 @@ def test_loss_variants_single_edge():
 def random_loss_scene(seed):
     """Macros (every third one pinless), cell clusters and IO anchors joined by
     edges of every kind between random endpoints, in an outline that is
-    sometimes too small for the packing."""
+    sometimes too small for the packing.  Returns the loss inputs (the
+    floorplan holds no macros yet) and the scene's generator."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 10))
     shapes = {}
@@ -258,21 +261,37 @@ def random_loss_scene(seed):
         push_boundary_weight=float(rng.choice([0.0, 0.5])),
     )
     area_scale = dict(zip(shapes, normalize_macro_area([s.width * s.height for s in shapes.values()])))
-    return _LossEvaluator(DataflowGraph(tuple(edges)), shapes, fp, area_scale, config), rng
+    return DataflowGraph(tuple(edges)), shapes, fp, area_scale, config, rng
+
+
+def with_macros(fp, shapes, mx, my, orientations=None):
+    """``fp`` with each macro of ``shapes`` (in id order) at corner (mx, my)."""
+    ids = sorted(shapes)
+    orientations = orientations or ["N"] * len(ids)
+    placements = {
+        cid: MacroPlacement(x, y, shapes[cid].width, shapes[cid].height, o, shapes[cid].pins)
+        for cid, x, y, o in zip(ids, mx, my, orientations)
+    }
+    return Floorplan(fp.outline, placements, fp.cluster_positions, fp.io_anchors)
 
 
 def test_loss_evaluator_total_matches_breakdown():
     seen = {"fits": 0, "overhangs": 0, "boundary": 0}
     for seed in range(40):
-        ev, rng = random_loss_scene(seed)
+        graph, shapes, fp, area_scale, config, rng = random_loss_scene(seed)
+        ev = _LossEvaluator(graph, shapes, fp, area_scale, config)
         n = len(ev.ids)
         W, H = ev.outline
-        seen["boundary"] += ev.config.push_boundary_weight > 0
+        seen["boundary"] += config.push_boundary_weight > 0
+
+        def reference(mx, my):
+            return loss_reference(with_macros(fp, shapes, mx, my), graph, area_scale, config)
+
         for _ in range(10):
             # arbitrary corners, some outside the outline: full geometry pass
             mx = rng.uniform(-0.2 * W, W, n).tolist()
             my = rng.uniform(-0.2 * H, H, n).tolist()
-            assert ev.total(mx, my) == pytest.approx(ev.breakdown(mx, my).total, rel=1e-12)
+            assert ev.total(mx, my) == pytest.approx(reference(mx, my)["total"], rel=1e-12)
             # a centered packing, as run_sa evaluates it
             pos, neg = rng.permutation(n).tolist(), rng.permutation(n).tolist()
             xs, ys, bw, bh = _decode_sp(pos, neg, ev.widths, ev.heights)
@@ -280,11 +299,30 @@ def test_loss_evaluator_total_matches_breakdown():
             my = [y + (H - bh) / 2.0 for y in ys]
             fits = bw <= W and bh <= H
             seen["fits" if fits else "overhangs"] += 1
-            ref = ev.breakdown(mx, my)
+            ref = reference(mx, my)
             if fits:
-                assert ref.loss_outline == 0.0
-            assert ev.total(mx, my, fits) == pytest.approx(ref.total, rel=1e-12)
-            assert ev.total(mx, my) == pytest.approx(ref.total, rel=1e-12)
+                assert ref["loss_outline"] == 0.0
+            assert ev.total(mx, my, fits) == pytest.approx(ref["total"], rel=1e-12)
+            assert ev.total(mx, my) == pytest.approx(ref["total"], rel=1e-12)
+    assert min(seen.values()) > 0, seen
+
+
+def test_compute_loss_equals_reference_exactly():
+    seen = {"flipped": 0, "overhangs": 0, "boundary": 0}
+    for seed in range(40):
+        graph, shapes, fp, area_scale, config, rng = random_loss_scene(seed)
+        n = len(shapes)
+        W, H = fp.outline
+        seen["boundary"] += config.push_boundary_weight > 0
+        for _ in range(10):
+            mx = rng.uniform(-0.2 * W, W, n).tolist()
+            my = rng.uniform(-0.2 * H, H, n).tolist()
+            orientations = [str(o) for o in rng.choice(list(ORIENT_FLAGS), n)]
+            placed = with_macros(fp, shapes, mx, my, orientations)
+            got = compute_loss(placed, graph, area_scale, config)
+            assert dataclasses.asdict(got) == loss_reference(placed, graph, area_scale, config)
+            seen["flipped"] += any(o != "N" for o in orientations)
+            seen["overhangs"] += got.loss_outline > 0
     assert min(seen.values()) > 0, seen
 
 
@@ -391,7 +429,8 @@ def gp_scene(seed):
     pulls it.  Groups of ``cap + 2`` cells are tied to one IO anchor each,
     so several bins overflow in the first iteration, and one group to a
     macro whose ``macro_refs`` point lies below and left of the outline,
-    so its bin has negative indices (without the refs nothing pulls it).
+    so its cells fall into the corner bin (without the refs nothing pulls
+    them).
     """
     nl = bundle_buses(random_netlist(seed, n_cells=90 + 30 * (seed % 7), n_macros=5,
                                      n_nets=120, n_pads=8))
@@ -426,6 +465,9 @@ def test_gp_equals_reference_bit_for_bit(seed):
             want = global_place_reference(graph, cn, nl.outline, iterations, seed, macro_refs)
             assert list(got) == list(want)
             assert got == want
+            if iterations:
+                cap = max(1, math.ceil(len(got) / 64))
+                assert max(bin_counts(got, nl.outline).values()) <= cap
 
 
 def bin_counts(pos, outline, grid=8):
