@@ -6,7 +6,7 @@ Usage::
                   [--no-finetune] [--loss eq5|eq6|eq8] [--out DIR]
 
 Exit codes: 0 success, 2 usage/config error, 3 input file missing (or a
-directory), 4 netlist validation error, 5 clustering error, 6
+directory, or under a file), 4 netlist validation error, 5 clustering error, 6
 placement/metrics error, 7 unexpected internal error.
 """
 
@@ -20,7 +20,7 @@ from .pipeline import STAGES, load_config, run_pipeline
 
 _EXIT_CODES = [
     (errors.ConfigError, 2),
-    ((FileNotFoundError, IsADirectoryError), 3),
+    ((FileNotFoundError, IsADirectoryError, NotADirectoryError), 3),
     (
         (
             errors.MissingInstances,

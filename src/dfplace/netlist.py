@@ -437,6 +437,7 @@ _BEHAVIORAL = {
 }
 
 _ID = r"[A-Za-z_][A-Za-z0-9_$]*"
+_DIRECTION = re.compile(r"(input|output|inout)\b")  # a range may follow directly
 _RANGE = re.compile(r"\[\s*(\d+)\s*:\s*(\d+)\s*\]")
 
 
@@ -487,16 +488,18 @@ def _parse_width(decl: str) -> tuple[int, str]:
     return abs(hi - lo) + 1, decl[: m.start()] + decl[m.end():]
 
 
-def _parse_port_decl(stmt: str, ports: dict, order: list) -> None:
-    direction = stmt.split(None, 1)[0]
-    rest = stmt[len(direction):]
-    width, rest = _parse_width(rest)
+def _parse_port_decl(stmt: str, ports: dict, order: list) -> tuple[str, int]:
+    """Record the ports that ``stmt`` declares; returns (direction, width)."""
+    m = _DIRECTION.match(stmt)
+    direction = m.group(1)
+    width, rest = _parse_width(stmt[m.end():])
     for name in [n.strip() for n in rest.split(",") if n.strip()]:
         if not re.fullmatch(_ID, name):
             raise UnsupportedConstruct(f"bad port name '{name}'")
         if name not in ports:
             order.append(name)
         ports[name] = (direction, width)
+    return direction, width
 
 
 def _parse_modules(text: str) -> dict[str, _ModuleDef]:
@@ -528,11 +531,8 @@ def _parse_modules(text: str) -> dict[str, _ModuleDef]:
             if plist:
                 carry = None  # (direction, width) continues over bare names
                 for chunk in _split_port_list(plist):
-                    dm = re.match(r"(input|output|inout)\b(.*)$", chunk.strip(), re.S)
-                    if dm:
-                        _parse_port_decl(chunk.strip(), port_info, port_order)
-                        width, _ = _parse_width(dm.group(2))
-                        carry = (dm.group(1), width)
+                    if _DIRECTION.match(chunk.strip()):
+                        carry = _parse_port_decl(chunk.strip(), port_info, port_order)
                     else:
                         name = chunk.strip()
                         if re.fullmatch(_ID, name):
@@ -546,10 +546,10 @@ def _parse_modules(text: str) -> dict[str, _ModuleDef]:
             continue
         if current is None:
             raise UnsupportedConstruct(f"line {line}: statement outside module")
-        if head in ("input", "output", "inout"):
+        if _DIRECTION.match(stmt):
             _parse_port_decl(stmt, port_info, port_order)
             continue
-        if head == "wire":
+        if re.match(r"wire\b", stmt):
             width, rest = _parse_width(stmt[len("wire"):])
             for name in [n.strip() for n in rest.split(",") if n.strip()]:
                 if not re.fullmatch(_ID, name):
@@ -670,15 +670,19 @@ def parse_verilog_subset(text: str, geometry: str | dict) -> Netlist:
         taps.setdefault(key, []).append((inst_id, pin, order_counter[0]))
         order_counter[0] += 1
 
-    def sig_bits(scope, md, name, line):
-        if name in md.wires:
-            declared[(scope, name)] = md.wires[name]
-            return [(scope, name, b) for b in range(md.wires[name])]
-        for pname, _, width in md.ports:
-            if pname == name:
-                declared[(scope, name)] = width
-                return [(scope, name, b) for b in range(width)]
-        raise DanglingPin(f"line {line}: undeclared signal '{name}'")
+    def sig_bits(scope, md, name, bit, line):
+        """The bits of signal ``name``, or only bit ``bit`` of them when given."""
+        width = md.wires.get(name)
+        if width is None:
+            width = next((w for pname, _, w in md.ports if pname == name), None)
+        if width is None:
+            raise DanglingPin(f"line {line}: undeclared signal '{name}'")
+        declared[(scope, name)] = width
+        if bit is None:
+            return [(scope, name, b) for b in range(width)]
+        if bit >= width:
+            raise MalformedDocument(f"line {line}: bit {bit} of '{name}' is past its width {width}")
+        return [(scope, name, bit)]
 
     def elaborate(scope: tuple[str, ...], md: _ModuleDef, path: tuple[str, ...]):
         for target, iname, conns, line in md.insts:
@@ -691,9 +695,7 @@ def parse_verilog_subset(text: str, geometry: str | dict) -> Netlist:
                         raise DanglingPin(
                             f"line {line}: module '{target}' has no port '{port}'"
                         )
-                    bits = sig_bits(scope, md, sig, line)
-                    if bit is not None:
-                        bits = [bits[bit]]
+                    bits = sig_bits(scope, md, sig, bit, line)
                     pw = port_widths[port]
                     if len(bits) != pw:
                         raise MalformedDocument(
@@ -712,9 +714,7 @@ def parse_verilog_subset(text: str, geometry: str | dict) -> Netlist:
                         raise DanglingPin(
                             f"line {line}: master '{target}' has no pin '{port}'"
                         )
-                    bits = sig_bits(scope, md, sig, line)
-                    if bit is not None:
-                        bits = [bits[bit]]
+                    bits = sig_bits(scope, md, sig, bit, line)
                     for key in bits:
                         tap(key, inst.id, port)
             else:

@@ -324,7 +324,10 @@ def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineRe
     seeds = stage_seeds(config.seed)
     out = Path(config.out_dir)
     if write_files:
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file lies at or over the path, or no access
+            raise ConfigError(f"out_dir '{out}' cannot be a directory: {exc}") from exc
     stop = STAGES.index(config.stop_stage)
 
     def run_stage(name, fn):

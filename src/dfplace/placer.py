@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,33 +143,46 @@ def macro_shapes(cn: ClusteredNetlist) -> dict[int, MacroShape]:
 # Sequence-pair decoding
 # ---------------------------------------------------------------------------
 
-def _decode_sp(pos, neg, widths, heights) -> tuple[list[float], list[float], float, float]:
+def _decode_sp(at, neg, widths, heights) -> tuple[list[float], list[float], float, float]:
     """Lower-left coordinates of each macro plus the packing's bounding box
-    (width, height).
+    (width, height); ``at[v]`` is macro v's index in ``pos``.
 
-    Macros are visited in ``pos`` order for x (reverse order for y); of those
-    already visited, the ones earlier in ``neg`` are exactly the ones to the
-    left (below).  ``right[r + 1]`` (``top[r + 1]``) holds the right (top)
-    edge of the visited macro at ``neg`` rank r and 0 otherwise, so each
-    coordinate is the largest edge up to the macro's own rank.
+    Macros are visited in ``neg`` order; of those already visited, the ones
+    earlier in ``pos`` are exactly the ones to the left, and the later ones
+    the ones below.  ``left[p]`` is the largest right edge of a visited macro
+    at a ``pos`` index below p, and ``below[m]`` the largest top edge of one
+    at a ``pos`` index above n - 1 - m (0 when there is none).  Neither list
+    falls as its index grows, so a new edge raises one run of entries, found
+    by bisection.  Each coordinate is the maximum over the same edges as the
+    quadratic longest-path pass, so it is the same float.
     """
-    n = len(pos)
-    rank = [0] * n
-    for r, v in enumerate(neg):
-        rank[v] = r
+    n = len(neg)
     xs = [0.0] * n
-    right = [0.0] * (n + 1)
-    for b in pos:
-        r = rank[b]
-        xs[b] = x = max(right[:r + 1])
-        right[r + 1] = x + widths[b]
     ys = [0.0] * n
-    top = [0.0] * (n + 1)
-    for a in reversed(pos):
-        r = rank[a]
-        ys[a] = y = max(top[:r + 1])
-        top[r + 1] = y + heights[a]
-    return xs, ys, max(right), max(top)
+    left = [0.0] * (n + 1)
+    below = [0.0] * (n + 1)
+    for v in neg:
+        p = at[v]
+        xs[v] = x = left[p]
+        x += widths[v]
+        p += 1
+        q = bisect_left(left, x, p)
+        left[p:q] = [x] * (q - p)
+        m = n - p  # n - 1 - at[v]
+        ys[v] = y = below[m]
+        y += heights[v]
+        m += 1
+        q = bisect_left(below, y, m)
+        below[m:q] = [y] * (q - m)
+    return xs, ys, left[n], below[n]
+
+
+def _index_of(seq) -> list[int]:
+    """``at[v]`` = the index of v in the permutation ``seq``."""
+    at = [0] * len(seq)
+    for i, v in enumerate(seq):
+        at[v] = i
+    return at
 
 
 def evaluate_sequence_pair(sp: SequencePair, sizes) -> tuple[list[float], list[float]]:
@@ -182,7 +196,7 @@ def evaluate_sequence_pair(sp: SequencePair, sizes) -> tuple[list[float], list[f
     n = len(sizes)
     if sorted(sp.pos) != list(range(n)) or sorted(sp.neg) != list(range(n)):
         raise BadPermutation(f"pos/neg must both permute 0..{n - 1}")
-    xs, ys, _, _ = _decode_sp(sp.pos, sp.neg, [w for w, _ in sizes], [h for _, h in sizes])
+    xs, ys, _, _ = _decode_sp(_index_of(sp.pos), sp.neg, [w for w, _ in sizes], [h for _, h in sizes])
     return xs, ys
 
 
@@ -503,14 +517,15 @@ def run_sa(
 
     W, H = outline
 
-    def place(pos, neg):
+    def place(at, neg):
         """Packing centered in the outline, and whether it fits inside."""
-        xs, ys, bw, bh = _decode_sp(pos, neg, ev.widths, ev.heights)
+        xs, ys, bw, bh = _decode_sp(at, neg, ev.widths, ev.heights)
         ox, oy = (W - bw) / 2.0, (H - bh) / 2.0
         return [x + ox for x in xs], [y + oy for y in ys], bw <= W and bh <= H
 
     cur_pos, cur_neg = list(initial_sp.pos), list(initial_sp.neg)
-    cur_loss = ev.total(*place(cur_pos, cur_neg))
+    cur_at = _index_of(cur_pos)  # kept equal to _index_of(cur_pos) by apply
+    cur_loss = ev.total(*place(cur_at, cur_neg))
     best_pos, best_neg, best_loss = list(cur_pos), list(cur_neg), cur_loss
 
     if schedule.moves_per_temp > 0 and n >= 2:
@@ -526,7 +541,9 @@ def run_sa(
 
         def apply(kind, i, j):
             if kind in (0, 2):
-                cur_pos[i], cur_pos[j] = cur_pos[j], cur_pos[i]
+                a, b = cur_pos[j], cur_pos[i]
+                cur_pos[i], cur_pos[j] = a, b
+                cur_at[a], cur_at[b] = i, j
             if kind in (1, 2):
                 cur_neg[i], cur_neg[j] = cur_neg[j], cur_neg[i]
 
@@ -534,7 +551,7 @@ def run_sa(
         for _ in range(100):
             kind, i, j = propose()
             apply(kind, i, j)
-            deltas.append(abs(ev.total(*place(cur_pos, cur_neg)) - cur_loss))
+            deltas.append(abs(ev.total(*place(cur_at, cur_neg)) - cur_loss))
             apply(kind, i, j)  # revert
         t0 = max(schedule.t0_factor * (sum(deltas) / len(deltas)), 1e-12)
         t = t0
@@ -543,7 +560,7 @@ def run_sa(
             for _ in range(schedule.moves_per_temp):
                 kind, i, j = propose()
                 apply(kind, i, j)
-                new_loss = ev.total(*place(cur_pos, cur_neg))
+                new_loss = ev.total(*place(cur_at, cur_neg))
                 dl = new_loss - cur_loss
                 if dl <= 0 or rng.random() < math.exp(-dl / t):
                     cur_loss = new_loss
@@ -554,7 +571,7 @@ def run_sa(
                     apply(kind, i, j)  # revert
             t *= schedule.cooling
 
-    mx, my, _ = place(best_pos, best_neg)
+    mx, my, _ = place(_index_of(best_pos), best_neg)
     placements = {
         cid: MacroPlacement(mx[i], my[i], ev.widths[i], ev.heights[i], "N", shapes[cid].pins)
         for i, cid in enumerate(ids)

@@ -1,8 +1,11 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 from dfplace import bundle_buses, generate_design, parse_netlist, serialize_netlist
+from dfplace.cli import main as cli_main
 from dfplace.errors import (
     BadOutline,
     DanglingPin,
@@ -316,8 +319,7 @@ def test_verilog_unknown_pin_message():
     assert str(err.value) == "line 3: master 'INV' has no pin 'zz'"
 
 
-def test_verilog_hierarchy_and_ports():
-    src = """
+HIERARCHY_SRC = """
     module leafpair(input i, output o);
       wire mid;
       INV g1 (.a(i), .y(mid));
@@ -331,7 +333,20 @@ def test_verilog_hierarchy_and_ports():
       INV u_top (.a(t), .y(dout[1]));
     endmodule
     """
-    nl = parse_verilog_subset(src, GEOMETRY)
+
+# The same design spelled another valid way.
+HIERARCHY_VARIANTS = {
+    "direction_then_range_in_header": HIERARCHY_SRC.replace("output [1:0]", "output[1:0]"),
+    "direction_then_range_in_body": HIERARCHY_SRC.replace(
+        "module top(input clk_in, output [1:0] dout);",
+        "module top(clk_in, dout);\n  input clk_in;\n  output[1:0] dout;",
+    ),
+    "wire_then_range": HIERARCHY_SRC.replace("wire t;", "wire[0:0] t;"),
+}
+
+
+def test_verilog_hierarchy_and_ports():
+    nl = parse_verilog_subset(HIERARCHY_SRC, GEOMETRY)
     names = {i.name: i for i in nl.instances}
     # 2 gates in leafpair + RAM + INV + 2 IO pads (clk_in, dout)
     assert len(nl.instances) == 6
@@ -359,3 +374,78 @@ def test_verilog_vector_wire_and_bus_naming():
     bundled = bundle_buses(nl)
     assert len(bundled.nets) == 1
     assert bundled.nets[0].bit_width == 4
+
+
+@pytest.mark.parametrize("variant", sorted(HIERARCHY_VARIANTS))
+def test_verilog_keyword_then_range(variant):
+    """``output[1:0] dout`` declares a two-bit port, as ``output [1:0] dout`` does."""
+    expected = parse_verilog_subset(HIERARCHY_SRC, GEOMETRY)
+    assert parse_verilog_subset(HIERARCHY_VARIANTS[variant], GEOMETRY) == expected
+
+
+@pytest.mark.parametrize("old,new,line", [
+    ("INV u_top (.a(t), .y(dout[1]))", "INV u_top (.a(t), .y(dout[7]))", 12),  # master pin
+    ("leafpair u_a (.i(clk_in), .o(t))", "leafpair u_a (.i(clk_in), .o(dout[2]))", 10),  # module port
+], ids=["master_pin", "module_port"])
+def test_verilog_bit_select_past_width(old, new, line):
+    with pytest.raises(MalformedDocument) as err:
+        parse_verilog_subset(HIERARCHY_SRC.replace(old, new), GEOMETRY)
+    assert str(err.value).startswith(f"line {line}: ")
+    assert "'dout'" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# mutated Verilog through the CLI: a documented exit code, never 7
+# ---------------------------------------------------------------------------
+
+VERILOG_FUZZ_BASES = {
+    "hierarchy": (HIERARCHY_SRC, 0),
+    "direction_then_range_in_header": (HIERARCHY_VARIANTS["direction_then_range_in_header"], 0),
+    "direction_then_range_in_body": (HIERARCHY_VARIANTS["direction_then_range_in_body"], 0),
+    "bit_select_past_width": (HIERARCHY_SRC.replace("dout[1]", "dout[7]"), 4),
+}
+
+
+def place_verilog(tmp_path, src):
+    """Exit code of ``dfplace place`` on ``src`` through the extract stage."""
+    (tmp_path / "top.v").write_text(src)
+    (tmp_path / "geo.json").write_text(json.dumps(GEOMETRY))
+    cfg = {"verilog": str(tmp_path / "top.v"), "geometry": str(tmp_path / "geo.json"),
+           "out_dir": str(tmp_path / "out"), "stop_stage": "extract",
+           "clustering": {"min_cells": 1, "max_cells": 40}}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    return cli_main(["place", str(tmp_path / "config.json")])
+
+
+def mutate_tokens(tokens, rng):
+    """``tokens`` joined after one of them is dropped, inserted, replaced or
+    duplicated; inserted and replacing tokens are drawn from ``tokens``."""
+    tokens = list(tokens)
+    k = int(rng.integers(len(tokens)))
+    other = tokens[int(rng.integers(len(tokens)))]
+    op = int(rng.integers(4))
+    if op == 0:
+        del tokens[k]
+    elif op == 1:
+        tokens.insert(k, other)
+    elif op == 2:
+        tokens[k] = other
+    else:
+        tokens.insert(k, tokens[k])
+    return "".join(tokens)
+
+
+@pytest.mark.parametrize("base", list(VERILOG_FUZZ_BASES))
+def test_cli_fuzzed_verilog_never_exits_7(tmp_path, capsys, base):
+    src, code = VERILOG_FUZZ_BASES[base]
+    assert place_verilog(tmp_path, src) == code, capsys.readouterr().err
+    tokens = re.findall(r"\s*(?:\w+|\S)", src)  # each with its leading blanks
+    rng = np.random.default_rng(list(VERILOG_FUZZ_BASES).index(base))
+    codes = {}
+    for _ in range(75):
+        mutated = mutate_tokens(tokens, rng)
+        code = place_verilog(tmp_path, mutated)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4, 5, 6), (mutated, err)
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(4, 0) > 25, codes  # most mutations do break the source

@@ -246,6 +246,13 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"netlist": "x.json", "bogus": True}))
     assert cli_main(["place", str(path)]) == 2
+    # an output directory at or under an existing file
+    path = write_cli_config(tmp_path)
+    before = path.read_bytes()
+    for out in (path, path / "sub"):
+        assert cli_main(["place", str(path), "--out", str(out)]) == 2
+        assert "out_dir" in capsys.readouterr().err
+        assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("section,values", [
@@ -350,6 +357,10 @@ def test_cli_missing_config_exit_code(tmp_path):
     assert cli_main(["place", str(tmp_path)]) == 3
     path = tmp_path / "config.json"
     path.write_text(json.dumps(fast_config(tmp_path, netlist=str(tmp_path))))
+    assert cli_main(["place", str(path)]) == 3
+    # nor is a path under a file
+    assert cli_main(["place", str(path / "config.json")]) == 3
+    path.write_text(json.dumps(fast_config(tmp_path, netlist=str(path / "design.json"))))
     assert cli_main(["place", str(path)]) == 3
 
 

@@ -31,6 +31,7 @@ from dfplace.placer import (
     macro_shapes,
     two_hop_coefficient,
     _decode_sp,
+    _index_of,
     _LossEvaluator,
 )
 from dfplace.synth import random_netlist
@@ -101,11 +102,25 @@ def test_decode_returns_bounding_box():
         for _ in range(10):
             pos, neg = rng.permutation(n).tolist(), rng.permutation(n).tolist()
             sizes = [(float(rng.uniform(1, 9)), float(rng.uniform(1, 9))) for _ in range(n)]
-            xs, ys, bw, bh = _decode_sp(pos, neg, [w for w, _ in sizes], [h for _, h in sizes])
+            xs, ys, bw, bh = _decode_sp(_index_of(pos), neg, [w for w, _ in sizes], [h for _, h in sizes])
             assert (xs, ys) == evaluate_sequence_pair(SequencePair(tuple(pos), tuple(neg)), sizes)
             assert (xs, ys) == decode_reference(pos, neg, sizes)
             assert bw == max((x + w for x, (w, _) in zip(xs, sizes)), default=0)
             assert bh == max((y + h for y, (_, h) in zip(ys, sizes)), default=0)
+
+
+def test_decode_with_tied_edges():
+    """Integer sizes make many right and top edges equal, so the staircase
+    meets entries equal to the edge it inserts."""
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 5, 8, 16, 24, 40):
+        for _ in range(100):
+            pos, neg = rng.permutation(n).tolist(), rng.permutation(n).tolist()
+            sizes = [tuple(float(s) for s in rng.integers(1, 4, 2)) for _ in range(n)]
+            xs, ys, bw, bh = _decode_sp(_index_of(pos), neg, [w for w, _ in sizes], [h for _, h in sizes])
+            assert (xs, ys) == decode_reference(pos, neg, sizes)
+            assert bw == max(x + w for x, (w, _) in zip(xs, sizes))
+            assert bh == max(y + h for y, (_, h) in zip(ys, sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +309,7 @@ def test_loss_evaluator_total_matches_breakdown():
             assert ev.total(mx, my) == pytest.approx(reference(mx, my)["total"], rel=1e-12)
             # a centered packing, as run_sa evaluates it
             pos, neg = rng.permutation(n).tolist(), rng.permutation(n).tolist()
-            xs, ys, bw, bh = _decode_sp(pos, neg, ev.widths, ev.heights)
+            xs, ys, bw, bh = _decode_sp(_index_of(pos), neg, ev.widths, ev.heights)
             mx = [x + (W - bw) / 2.0 for x in xs]
             my = [y + (H - bh) / 2.0 for y in ys]
             fits = bw <= W and bh <= H
