@@ -17,6 +17,7 @@ import sys
 
 from . import errors
 from .pipeline import STAGES, load_config, run_pipeline
+from .placer import LOSS_VARIANTS
 
 _EXIT_CODES = [
     (errors.ConfigError, 2),
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weight of the pull-to-boundary loss term")
     place.add_argument("--no-finetune", action="store_true",
                        help="skip the orientation flipping stage")
-    place.add_argument("--loss", choices=("eq5", "eq6", "eq8"), default=None,
+    place.add_argument("--loss", choices=LOSS_VARIANTS, default=None,
                        help="two-hop loss variant")
     place.add_argument("--out", default=None, metavar="DIR", help="output directory")
     return parser

@@ -29,6 +29,9 @@ MC = "MC"
 CC = "CC"
 MCC = "MCC"
 KIND_ORDER = (MM_DIRECT, MM_INDIRECT, MC, CC, MCC)
+# wirelength category of each kind: 0 mm (direct and indirect), 1 mc, 2 mcc,
+# 3 cc; the loss, the report's split and the flip vectors all read this
+CATEGORY = {MM_DIRECT: 0, MM_INDIRECT: 0, MC: 1, MCC: 2, CC: 3}
 
 DEFAULT_FANOUT_LIMIT = 32
 DEFAULT_NAME_FILTERS = ("clk*", "rst*", "reset*")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataflow import MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowEdge, DataflowGraph
+from .dataflow import CATEGORY, DataflowEdge, DataflowGraph
 from .errors import EmptyCluster
 from .metrics import total_hpwl
 from .placer import ORIENT_FLAGS, Floorplan
@@ -85,16 +85,17 @@ def decompose_dataflow_vectors(
     total is the (alpha, beta, gamma) blend.
     """
     pc = fp.reference_point(macro_id)
-    v_mm, v_mc, v_mcc = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
-    peer_sums = {MM_DIRECT: v_mm, MM_INDIRECT: v_mm, MC: v_mc}
+    sums = v_mm, v_mc, v_mcc = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]  # by CATEGORY
     for e in graph.edges:
-        if e.kind in peer_sums and macro_id in (e.src, e.dst):
-            v, p = peer_sums[e.kind], fp.reference_point(e.dst if e.src == macro_id else e.src)
-        elif e.kind == MCC and e.src == macro_id:
+        c = CATEGORY[e.kind]
+        if c < 2 and macro_id in (e.src, e.dst):  # mm or mc: toward the peer
+            p = fp.reference_point(e.dst if e.src == macro_id else e.src)
+        elif c == 2 and e.src == macro_id:  # mcc: toward the two hops' midpoint
             p1, p2 = fp.reference_point(e.via), fp.reference_point(e.dst)
-            v, p = v_mcc, (0.5 * (p1[0] + p2[0]), 0.5 * (p1[1] + p2[1]))
+            p = (0.5 * (p1[0] + p2[0]), 0.5 * (p1[1] + p2[1]))
         else:
             continue
+        v = sums[c]
         v[0] += e.weight * (p[0] - pc[0])
         v[1] += e.weight * (p[1] - pc[1])
     v_t = (

@@ -14,7 +14,7 @@ from numbers import Real
 
 import numpy as np
 
-from .dataflow import CC, MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowGraph
+from .dataflow import CATEGORY, DataflowGraph
 from .errors import EmptyPointSet
 from .placer import Floorplan, LossBreakdown
 
@@ -38,19 +38,13 @@ def total_hpwl(fp: Floorplan, graph: DataflowGraph) -> float:
 
 
 def category_hpwl(fp: Floorplan, graph: DataflowGraph) -> dict[str, float]:
-    """HPWL sums keyed by category: mm (direct+indirect), mc, cc, mcc, total."""
-    sums = {MM_DIRECT: 0.0, MM_INDIRECT: 0.0, MC: 0.0, CC: 0.0, MCC: 0.0}
-    ends = fp.edge_endpoints(graph)
-    lengths = np.abs(ends[:, 0] - ends[:, 2]) + np.abs(ends[:, 1] - ends[:, 3])
-    for e, h in zip(graph.edges, lengths.tolist()):
-        sums[e.kind] += h
-    return {
-        "mm": sums[MM_DIRECT] + sums[MM_INDIRECT],
-        "mc": sums[MC],
-        "cc": sums[CC],
-        "mcc": sums[MCC],
-        "total": sum(sums.values()),
-    }
+    """HPWL sums keyed by category: mm (direct+indirect), mc, cc, mcc, total.
+
+    Each category (``CATEGORY``) sums its edges in edge order, as
+    ``placer.compute_loss`` does, so mm, mc and mcc equal the loss's ``wl_*``."""
+    cat = np.array([CATEGORY[e.kind] for e in graph.edges], dtype=np.intp)
+    mm, mc, mcc, cc = np.bincount(cat, weights=fp.edge_hpwl(graph), minlength=4).tolist()
+    return {"mm": mm, "mc": mc, "cc": cc, "mcc": mcc, "total": mm + mc + cc + mcc}
 
 
 # ---------------------------------------------------------------------------

@@ -684,9 +684,17 @@ def parse_verilog_subset(text: str, geometry: str | dict) -> Netlist:
             raise MalformedDocument(f"line {line}: bit {bit} of '{name}' is past its width {width}")
         return [(scope, name, bit)]
 
+    active: set[str] = set()  # the modules on the current instantiation chain
+
     def elaborate(scope: tuple[str, ...], md: _ModuleDef, path: tuple[str, ...]):
+        active.add(md.name)
         for target, iname, conns, line in md.insts:
             child_scope = scope + (iname,)
+            if target in active:
+                raise MalformedDocument(
+                    f"line {line}: module '{target}' is instantiated inside itself "
+                    f"(instantiation cycle through '{md.name}')"
+                )
             if target in modules:
                 child = modules[target]
                 port_widths = {p: w for p, _, w in child.ports}
@@ -721,6 +729,7 @@ def parse_verilog_subset(text: str, geometry: str | dict) -> Netlist:
                 raise UnknownMaster(
                     f"line {line}: '{target}' is neither a module nor a master"
                 )
+        active.discard(md.name)
 
     root_scope = (top.name,)
     side_map = _object(geometry, "io_side", dict)

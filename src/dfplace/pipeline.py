@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import clustering, dataflow, finetune, metrics, placer, render
-from .errors import ConfigError, PipelineStageError
+from .errors import ConfigError, MalformedDocument, PipelineStageError
 from .netlist import Netlist, bundle_buses, parse_netlist, parse_verilog_subset
 
 STAGES = ("parse", "cluster", "extract", "gp", "sa", "flip", "report")
@@ -103,28 +103,6 @@ class SaConfig(placer.SaSchedule):
 
 
 @dataclass
-class LossConfig:
-    variant: str = "eq8"
-    mc_scale: float = 1.0
-    mcc_scale: float = 1.0
-    mm_indirect_scale: float = 1.0
-    outline_weight: float = 1.0
-    push_boundary: float = 0.0
-
-    def placer_config(self) -> placer.PlacerConfig:
-        if self.variant not in placer.LOSS_VARIANTS:
-            raise ConfigError(f"loss variant must be one of {placer.LOSS_VARIANTS}")
-        return placer.PlacerConfig(
-            loss_variant=self.variant,
-            mc_scale=self.mc_scale,
-            mcc_scale=self.mcc_scale,
-            mm_indirect_scale=self.mm_indirect_scale,
-            outline_weight=self.outline_weight,
-            push_boundary_weight=self.push_boundary,
-        )
-
-
-@dataclass
 class FlipConfig:
     enabled: bool = True
     alpha: float = finetune.DEFAULT_ALPHA
@@ -152,22 +130,15 @@ class PipelineConfig:
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     gp: GpConfig = field(default_factory=GpConfig)
     sa: SaConfig = field(default_factory=SaConfig)
-    loss: LossConfig = field(default_factory=LossConfig)
+    loss: placer.PlacerConfig = field(default_factory=placer.PlacerConfig)
     flip: FlipConfig = field(default_factory=FlipConfig)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
 
     @staticmethod
     def from_dict(data: dict) -> "PipelineConfig":
         data = dict(data)
-        sections = {
-            "clustering": ClusteringConfig,
-            "extraction": ExtractionConfig,
-            "gp": GpConfig,
-            "sa": SaConfig,
-            "loss": LossConfig,
-            "flip": FlipConfig,
-            "metrics": MetricsConfig,
-        }
+        sections = {f.name: f.default_factory for f in fields(PipelineConfig)
+                    if f.default_factory is not MISSING}
         kwargs = {}
         for name, cls in sections.items():
             if name in data:
@@ -182,7 +153,8 @@ class PipelineConfig:
             raise ConfigError("config needs 'netlist' or 'verilog' input")
         if cfg.verilog is not None and cfg.geometry is None:
             raise ConfigError("verilog input needs a 'geometry' sidecar")
-        cfg.loss.placer_config()  # validate variant early
+        _check(cfg.loss.variant in placer.LOSS_VARIANTS,
+               f"loss.variant must be one of {placer.LOSS_VARIANTS}", cfg.loss.variant)
         _check(cfg.seed >= 0, "seed must be >= 0", cfg.seed)
         _check(cfg.extraction.k >= 0, "extraction.k must be >= 0", cfg.extraction.k)
         sa, m = cfg.sa, cfg.metrics
@@ -214,8 +186,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(p.read_bytes())
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config must be an object, got {data!r}")
@@ -317,6 +289,14 @@ def _placement_json(cn, fp) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; one that is not UTF-8 is a malformed document."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"'{path}' is not UTF-8 text: {exc}") from exc
+
+
 def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineResult:
     """Execute the pipeline up to ``config.stop_stage`` and emit output files."""
     res = PipelineResult()
@@ -348,9 +328,7 @@ def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineRe
         if config.netlist is not None:
             nl = parse_netlist(Path(config.netlist))
         else:
-            text = Path(config.verilog).read_text()
-            geo = Path(config.geometry).read_text()
-            nl = parse_verilog_subset(text, geo)
+            nl = parse_verilog_subset(_read_text(config.verilog), _read_text(config.geometry))
         res.netlist = bundle_buses(nl)
 
     def cluster_stage():
@@ -380,13 +358,12 @@ def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineRe
         shapes = placer.macro_shapes(cn)
         ids = sorted(shapes)
         sp = placer.SequencePair(tuple(range(len(ids))), tuple(range(len(ids))))
-        pcfg = config.loss.placer_config()
         positions = res.cluster_positions
         sa_seed = seeds["sa"]
         for r in range(max(1, config.sa.rounds)):
             sp, fp, loss = placer.run_sa(
                 sp, res.graph, cn, outline, config.sa,
-                sa_seed + r, positions, pcfg,
+                sa_seed + r, positions, config.loss,
             )
             if r + 1 < config.sa.rounds:
                 refs = {cid: fp.macro_placements[cid].pin_center() for cid in fp.macro_placements}
@@ -412,8 +389,7 @@ def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineRe
             )
         )
         res.loss = placer.compute_loss(
-            res.floorplan, res.graph, placer.macro_area_scales(res.clustered),
-            config.loss.placer_config(),
+            res.floorplan, res.graph, placer.macro_area_scales(res.clustered), config.loss
         )
 
     def report_stage():

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusteredNetlist
-from .dataflow import CC, MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowGraph
+from .dataflow import CATEGORY, CC, MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowGraph
 from .errors import BadPermutation, EmptyGraph, UnplacedCluster
 
 ORIENT_FLAGS = {"N": (False, False), "FS": (True, False), "FN": (False, True), "S": (True, True)}
@@ -94,6 +94,11 @@ class Floorplan:
         at = {cid: self.reference_point(cid) for cid in ids}
         rows = [(*at[e.src], *at[e.dst]) for e in graph.edges]
         return np.array(rows, dtype=float).reshape(len(rows), 4)
+
+    def edge_hpwl(self, graph: DataflowGraph) -> np.ndarray:
+        """``|dx| + |dy|`` between each edge's endpoints, in edge order."""
+        ends = self.edge_endpoints(graph)
+        return np.abs(ends[:, 0] - ends[:, 2]) + np.abs(ends[:, 1] - ends[:, 3])
 
 
 def io_anchor_positions(cn: ClusteredNetlist, outline: tuple[float, float]) -> dict[int, tuple[float, float]]:
@@ -224,12 +229,14 @@ def two_hop_coefficient(first_hop: float, second_hop: float, area_scale: float, 
 
 @dataclass
 class PlacerConfig:
-    loss_variant: str = "eq8"
+    """The loss's knobs; the pipeline config's ``loss`` section."""
+
+    variant: str = "eq8"  # one of LOSS_VARIANTS
     mc_scale: float = 1.0
     mcc_scale: float = 1.0
     mm_indirect_scale: float = 1.0  # 0 gives a direct-connections-only baseline
     outline_weight: float = 1.0
-    push_boundary_weight: float = 0.0
+    push_boundary: float = 0.0
 
 
 @dataclass
@@ -246,18 +253,18 @@ class LossBreakdown:
 
 
 def _loss_terms(graph: DataflowGraph, area_scale: dict[int, float], config: PlacerConfig):
-    """``(edge, category, coefficient)`` for each edge the loss reads, in edge
-    order; category 0, 1 and 2 are mm, mc and mcc.  CC edges carry no loss."""
+    """``(edge, coefficient)`` for each edge the loss reads (MM, MC and MCC),
+    in edge order.  CC edges carry no loss."""
     for e in graph.edges:
         if e.kind == MM_DIRECT:
-            yield e, 0, e.weight
+            yield e, e.weight
         elif e.kind == MM_INDIRECT:
-            yield e, 0, e.weight * config.mm_indirect_scale
+            yield e, e.weight * config.mm_indirect_scale
         elif e.kind == MC:
-            yield e, 1, e.weight * config.mc_scale
+            yield e, e.weight * config.mc_scale
         elif e.kind == MCC:
-            yield e, 2, config.mcc_scale * two_hop_coefficient(
-                e.first_hop, e.weight, area_scale.get(e.src, 1.0), config.loss_variant
+            yield e, config.mcc_scale * two_hop_coefficient(
+                e.first_hop, e.weight, area_scale.get(e.src, 1.0), config.variant
             )
 
 
@@ -271,9 +278,9 @@ def _geometry_terms(corners, sizes, outline, config: PlacerConfig) -> tuple[floa
         ox = max(0.0, -x) + max(0.0, x + w - W)
         oy = max(0.0, -y) + max(0.0, y + h - H)
         overhang += ox * ox + oy * oy
-        if config.push_boundary_weight:
+        if config.push_boundary:
             boundary += max(0.0, min(x, y, W - x - w, H - y - h))
-    return config.outline_weight * overhang, config.push_boundary_weight * boundary
+    return config.outline_weight * overhang, config.push_boundary * boundary
 
 
 class _LossEvaluator:
@@ -310,7 +317,7 @@ class _LossEvaluator:
             fixed.append(p[axis])
             return 2 * n + len(fixed) - 1, 0.0
 
-        for e, _, coef in _loss_terms(graph, area_scale, config):
+        for e, coef in _loss_terms(graph, area_scale, config):
             # every fixed endpoint is resolved, so an unplaced one raises
             # even on a zero-weight term
             (i1, p1), (i2, p2) = (
@@ -343,7 +350,7 @@ class _LossEvaluator:
         ext[:n] = mx
         ext[n:2 * n] = my
         t = self.const_loss + float(self.coef @ np.abs(ext[self.ia] - ext[self.ib] + self.d))
-        if fits and not self.config.push_boundary_weight:
+        if fits and not self.config.push_boundary:
             return t
         o, b = _geometry_terms(zip(mx, my), zip(self.widths, self.heights), self.outline, self.config)
         return t + o + b
@@ -360,12 +367,12 @@ def compute_loss(fp: Floorplan, graph: DataflowGraph, area_scale: dict[int, floa
                  config: PlacerConfig = PlacerConfig()) -> LossBreakdown:
     """Dataflow-weighted loss of a placed floorplan (see LossBreakdown fields).
 
-    Each category's sums add its edges in edge order (``np.bincount``)."""
+    Each category (``CATEGORY``) sums its edges in edge order (``np.bincount``),
+    as the report's ``metrics.category_hpwl`` does."""
     terms = list(_loss_terms(graph, area_scale, config))
-    ends = fp.edge_endpoints(DataflowGraph(tuple(e for e, _, _ in terms)))
-    h = np.abs(ends[:, 0] - ends[:, 2]) + np.abs(ends[:, 1] - ends[:, 3])
-    cat = np.array([c for _, c, _ in terms], dtype=np.intp)
-    coef = np.array([k for _, _, k in terms], dtype=float)
+    h = fp.edge_hpwl(DataflowGraph(tuple(e for e, _ in terms)))
+    cat = np.array([CATEGORY[e.kind] for e, _ in terms], dtype=np.intp)
+    coef = np.array([k for _, k in terms], dtype=float)
     wl = np.bincount(cat, weights=h, minlength=3).tolist()
     loss = np.bincount(cat, weights=coef * h, minlength=3).tolist()
     placed = [fp.macro_placements[c] for c in sorted(fp.macro_placements)]

@@ -277,7 +277,7 @@ def loss_reference(fp, graph, area_scale, config):
         elif e.kind == "MCC":
             cat = "mcc"
             coef = config.mcc_scale * two_hop_coefficient(
-                e.first_hop, e.weight, area_scale.get(e.src, 1.0), config.loss_variant
+                e.first_hop, e.weight, area_scale.get(e.src, 1.0), config.variant
             )
         else:
             continue
@@ -294,10 +294,10 @@ def loss_reference(fp, graph, area_scale, config):
         ox = max(0.0, -x) + max(0.0, x + w - W)
         oy = max(0.0, -y) + max(0.0, y + h - H)
         overhang += ox * ox + oy * oy
-        if config.push_boundary_weight:
+        if config.push_boundary:
             boundary += max(0.0, min(x, y, W - x - w, H - y - h))
     overhang *= config.outline_weight
-    boundary *= config.push_boundary_weight
+    boundary *= config.push_boundary
     return {
         "wl_mm": wl["mm"], "wl_mc": wl["mc"], "wl_mcc": wl["mcc"],
         "loss_mm": loss["mm"], "loss_mc": loss["mc"], "loss_mcc": loss["mcc"],

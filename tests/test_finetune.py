@@ -270,13 +270,19 @@ def test_guarded_pass_never_raises_hpwl(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_loss_wirelength_matches_hpwl_after_flips(seed):
-    # loss and report read one pin-center rule, mirrored pins included
+    # loss and report read one pin-center rule, mirrored pins included, and
+    # sum each category in edge order, MM_direct and MM_indirect together
     fp, g = random_flip_scene(seed + 900)
+    rng = np.random.default_rng(seed)
+    ends = sorted(fp.macro_placements) + sorted(fp.io_anchors)
+    g = DataflowGraph(g.edges + tuple(
+        DataflowEdge(MM_INDIRECT, a, b, float(rng.integers(1, 9)), 1)
+        for i, a in enumerate(ends) for b in ends[i + 1:]
+    ))
     log = run_flipping_pass(fp, g, guard=False)
     assert any(d.applied for d in log)
     loss = compute_loss(fp, g, {})
     cats = category_hpwl(fp, g)
-    # no MM_indirect edges here, so both sum each class in edge order
     assert (loss.wl_mm, loss.wl_mc, loss.wl_mcc) == (cats["mm"], cats["mc"], cats["mcc"])
 
 

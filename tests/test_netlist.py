@@ -449,3 +449,30 @@ def test_cli_fuzzed_verilog_never_exits_7(tmp_path, capsys, base):
         assert code in (0, 2, 3, 4, 5, 6), (mutated, err)
         codes[code] = codes.get(code, 0) + 1
     assert codes.get(4, 0) > 25, codes  # most mutations do break the source
+
+
+# an instantiation cycle below the top module, which still leaves a top
+CYCLE_SOURCES = {
+    "two_module_cycle": (
+        "module top;\n  a u_a ();\nendmodule\n"
+        "module a;\n  b u_b ();\nendmodule\n"
+        "module b;\n  a u_a ();\nendmodule\n",
+        "a",
+    ),
+    "self_instance": (
+        "module top;\n  c u_c ();\nendmodule\n"
+        "module c;\n  wire w;\n  INV g (.y(w));\n  c u_c ();\nendmodule\n",
+        "c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CYCLE_SOURCES))
+def test_verilog_instantiation_cycle_below_top(tmp_path, capsys, name):
+    src, module = CYCLE_SOURCES[name]
+    with pytest.raises(MalformedDocument) as err:
+        parse_verilog_subset(src, GEOMETRY)
+    assert f"module '{module}'" in str(err.value)
+    assert "instantiation cycle" in str(err.value)
+    assert place_verilog(tmp_path, src) == 4
+    assert f"module '{module}'" in capsys.readouterr().err

@@ -246,6 +246,11 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"netlist": "x.json", "bogus": True}))
     assert cli_main(["place", str(path)]) == 2
+    # a byte that is not UTF-8, and nesting deeper than the decoder recurses
+    for text in (b'{"netlist": "d\xe9.json"}', b"[" * 200_000):
+        path.write_bytes(text)
+        assert cli_main(["place", str(path)]) == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
     # an output directory at or under an existing file
     path = write_cli_config(tmp_path)
     before = path.read_bytes()
@@ -465,6 +470,19 @@ def test_cli_malformed_geometry_sidecar_exit_code(tmp_path, geometry):
     assert cli_main(["place", str(tmp_path / "config.json")]) == 4
 
 
+@pytest.mark.parametrize("bad", ["top.v", "geo.json"])
+def test_cli_non_utf8_verilog_or_sidecar_exit_code(tmp_path, capsys, bad):
+    (tmp_path / "top.v").write_text("module top;\n  wire w;\n  C u (.y(w));\nendmodule\n")
+    (tmp_path / "geo.json").write_text(json.dumps({"outline": {"width": 30.0, "height": 30.0}}))
+    with open(tmp_path / bad, "ab") as f:
+        f.write(b"\xe9")
+    cfg = {"verilog": str(tmp_path / "top.v"), "geometry": str(tmp_path / "geo.json"),
+           "out_dir": str(tmp_path / "out"), "stop_stage": "parse"}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert cli_main(["place", str(tmp_path / "config.json")]) == 4
+    assert bad in capsys.readouterr().err
+
+
 FUZZ_VALUES = (3, 2.5, -1, 0, "x", "", None, True, [], ["u"], [1], {}, {"a": 1}, float("nan"))
 
 
@@ -672,3 +690,18 @@ def test_loss_components_sum_to_total(tmp_path):
     )
     for part in (b.loss_mm, b.loss_mc, b.loss_mcc, b.loss_outline, b.loss_boundary):
         assert part >= 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_report_wirelength_split_equals_loss(tmp_path, seed):
+    # macro buses give MM_direct edges and shared driving nets MM_indirect
+    # ones; the report sums each category in edge order, as the loss does,
+    # so wl_mm is not the direct sum plus the indirect sum
+    cfg = fast_config(tmp_path)
+    write_design(tmp_path, seed=seed, n_modules=5, macros_per_module=2,  # over cfg's netlist
+                 mm_bus_width=4, shared_driver_nets=2)
+    res = run_pipeline(PipelineConfig.from_dict(cfg), write_files=False)
+    counts = res.graph.counts()
+    assert counts["MM_direct"] > 0 and counts["MM_indirect"] > 0
+    r = res.report
+    assert (r.wl_mm, r.wl_mc, r.wl_mcc) == (r.loss.wl_mm, r.loss.wl_mc, r.loss.wl_mcc)

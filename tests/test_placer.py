@@ -221,7 +221,7 @@ def test_boundary_pull_is_distance_to_nearest_edge():
         (20.0, 20.0),
         {0: MacroPlacement(3, 2, 4, 4, "N", ((2.0, 2.0),))},
     )
-    cfg = PlacerConfig(push_boundary_weight=0.5)
+    cfg = PlacerConfig(push_boundary=0.5)
     out = compute_loss(fp, DataflowGraph(()), {0: 1.0}, cfg)
     assert out.loss_boundary == pytest.approx(0.5 * 2.0)
     off = compute_loss(fp, DataflowGraph(()), {0: 1.0}, PlacerConfig())
@@ -235,9 +235,9 @@ def test_loss_variants_single_edge():
         {5: (4.0, 4.0), 6: (7.0, 5.0)},
     )
     graph = DataflowGraph((DataflowEdge(MCC, 0, 6, 9.0, 3, via=5, first_hop=4.0),))
-    eq5 = compute_loss(fp, graph, {0: 2.0}, PlacerConfig(loss_variant="eq5"))
-    eq6 = compute_loss(fp, graph, {0: 2.0}, PlacerConfig(loss_variant="eq6"))
-    eq8 = compute_loss(fp, graph, {0: 2.0}, PlacerConfig(loss_variant="eq8"))
+    eq5 = compute_loss(fp, graph, {0: 2.0}, PlacerConfig(variant="eq5"))
+    eq6 = compute_loss(fp, graph, {0: 2.0}, PlacerConfig(variant="eq6"))
+    eq8 = compute_loss(fp, graph, {0: 2.0}, PlacerConfig(variant="eq8"))
     assert eq5.loss_mcc == pytest.approx(9.0 * 10.0)
     assert eq6.loss_mcc == pytest.approx(36.0 * 10.0)
     assert eq8.loss_mcc == pytest.approx(3.0 * 10.0)
@@ -270,10 +270,10 @@ def random_loss_scene(seed):
         first_hop = float(rng.uniform(0.5, 4)) if kind == MCC else None
         edges.append(DataflowEdge(kind, src, dst, weight, 1, first_hop=first_hop))
     config = PlacerConfig(
-        loss_variant=str(rng.choice(["eq5", "eq6", "eq8"])),
+        variant=str(rng.choice(["eq5", "eq6", "eq8"])),
         mc_scale=float(rng.uniform(0, 2)),
         mm_indirect_scale=float(rng.choice([0.0, 1.0, 2.5])),
-        push_boundary_weight=float(rng.choice([0.0, 0.5])),
+        push_boundary=float(rng.choice([0.0, 0.5])),
     )
     area_scale = dict(zip(shapes, normalize_macro_area([s.width * s.height for s in shapes.values()])))
     return DataflowGraph(tuple(edges)), shapes, fp, area_scale, config, rng
@@ -297,7 +297,7 @@ def test_loss_evaluator_total_matches_breakdown():
         ev = _LossEvaluator(graph, shapes, fp, area_scale, config)
         n = len(ev.ids)
         W, H = ev.outline
-        seen["boundary"] += config.push_boundary_weight > 0
+        seen["boundary"] += config.push_boundary > 0
 
         def reference(mx, my):
             return loss_reference(with_macros(fp, shapes, mx, my), graph, area_scale, config)
@@ -328,7 +328,7 @@ def test_compute_loss_equals_reference_exactly():
         graph, shapes, fp, area_scale, config, rng = random_loss_scene(seed)
         n = len(shapes)
         W, H = fp.outline
-        seen["boundary"] += config.push_boundary_weight > 0
+        seen["boundary"] += config.push_boundary > 0
         for _ in range(10):
             mx = rng.uniform(-0.2 * W, W, n).tolist()
             my = rng.uniform(-0.2 * H, H, n).tolist()
@@ -356,7 +356,7 @@ def test_weight_scaling_scales_dataflow_loss(variant):
     shapes = macro_shapes(cn)
     ids = sorted(shapes)
     sp = SequencePair(tuple(range(len(ids))), tuple(range(len(ids))))
-    cfg = PlacerConfig(loss_variant=variant, outline_weight=0.0)
+    cfg = PlacerConfig(variant=variant, outline_weight=0.0)
     _, fp, _ = run_sa(sp, graph, cn, nl.outline, SaSchedule(moves_per_temp=0),
                       seed=0, cluster_positions=pos, config=cfg)
     ap = macro_area_scales(cn)
