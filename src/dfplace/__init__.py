@@ -54,10 +54,10 @@ from .netlist import (
     Instance,
     Master,
     Net,
+    Nets,
     Netlist,
     bundle_buses,
     parse_netlist,
-    parse_verilog_subset,
     serialize_netlist,
 )
 from .pipeline import (
@@ -85,3 +85,13 @@ from .render import render_svg
 from .synth import generate_design, random_netlist
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the Verilog parser is imported on first use: without cached bytecode
+    # every import compiles it, and a JSON run never calls it
+    if name == "parse_verilog_subset":
+        from .verilog import parse_verilog_subset
+
+        return parse_verilog_subset
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

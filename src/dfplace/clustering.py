@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ThresholdConflict
-from .netlist import Netlist
+from .netlist import Netlist, group_keys
 
 MACRO_CLUSTER = "macro_cluster"
 CELL_CLUSTER = "cell_cluster"
@@ -161,17 +163,21 @@ def compute_cluster_edges(netlist: Netlist, cn: ClusteredNetlist) -> ClusteredNe
     """Populate directed inter-cluster edges weighted by summed bit widths.
 
     Each net contributes its bit width once per distinct external sink
-    cluster; connections inside one cluster produce no edge.
+    cluster; connections inside one cluster produce no edge.  Edges come
+    sorted by (src, dst).
     """
-    acc: dict[tuple[int, int], int] = {}
-    for net in netlist.nets:
-        src = cn.cluster_of(net.driver[0])
-        sink_clusters = {cn.cluster_of(i) for i, _ in net.sinks}
-        for dst in sorted(sink_clusters):
-            if dst == src:
-                continue
-            acc[(src, dst)] = acc.get((src, dst), 0) + net.bit_width
-    edges = tuple((s, d, w) for (s, d), w in sorted(acc.items()))
+    nets = netlist.nets
+    n = len(cn.clusters)
+    cluster_of = np.fromiter(cn.instance_to_cluster, dtype=np.int64, count=len(cn.instance_to_cluster))
+    net, dst = nets.sink_groups(cluster_of)
+    src = cluster_of[nets.driver[net]]
+    external = src != dst
+    net, pair = net[external], src[external] * n + dst[external]
+    pair, inverse = group_keys(pair)
+    # widths are at most MAX_WIDTH bits, so float64 sums of them stay exact
+    width = np.bincount(inverse, weights=nets.bit_widths[net], minlength=len(pair))
+    src, dst = np.divmod(pair, n)
+    edges = tuple(zip(src.tolist(), dst.tolist(), width.astype(np.int64).tolist()))
     return replace(cn, edges=edges)
 
 

@@ -18,10 +18,13 @@ from __future__ import annotations
 import fnmatch
 import re
 from dataclasses import dataclass
+from operator import attrgetter
+
+import numpy as np
 
 from .clustering import CELL_CLUSTER, MACRO_CLUSTER, Cluster, ClusteredNetlist
 from .errors import DegenerateCluster
-from .netlist import Netlist
+from .netlist import CELL, Netlist
 
 MM_DIRECT = "MM_direct"
 MM_INDIRECT = "MM_indirect"
@@ -136,21 +139,28 @@ def extract_indirect_mm(
                 pair_w[key] = pair_w.get(key, 0.0) + incident[cell][macros[i]] + incident[cell][macros[j]]
 
     # instance level: single cells driving pins inside several macro clusters
+    nets = netlist.nets
+    cluster_of = np.fromiter(cn.instance_to_cluster, dtype=np.int64, count=len(cn.instance_to_cluster))
+    is_macro = np.array([c.kind == MACRO_CLUSTER for c in cn.clusters], dtype=bool)
+    master_kinds = map(attrgetter("master.kind"), netlist.instances)
+    is_cell = np.fromiter(map(CELL.__eq__, master_kinds), dtype=bool, count=len(netlist.instances))
+    live = is_cell[nets.driver] & (nets.fanout() <= fanout_limit)
+    keep = live[nets.sink_net()] & is_macro[cluster_of[nets.sink_inst]]
+    net, touched = nets.sink_groups(cluster_of, keep)  # by net, then cluster
+    start = np.flatnonzero(np.diff(net, prepend=-1))
+    stop = np.append(start[1:], len(net))
+    many = stop - start >= 2
     filtered = compile_name_filters(name_filters).match
-    cluster_of = cn.instance_to_cluster
-    macro_cluster = [c.kind == MACRO_CLUSTER for c in cn.clusters]
-    is_cell = [inst.is_cell for inst in netlist.instances]
-    for net in netlist.nets:
-        if not is_cell[net.driver[0]] or len(net.sinks) > fanout_limit:
+    touched = touched.tolist()
+    for a, b in zip(start[many].tolist(), stop[many].tolist()):
+        k = int(net[a])
+        if filtered(nets.base_names[k]):
             continue
-        touched = {cluster_of[i] for i, _ in net.sinks}
-        touched = sorted(c for c in touched if macro_cluster[c])
-        if len(touched) < 2 or filtered(net.base_name):
-            continue
-        for i in range(len(touched)):
-            for j in range(i + 1, len(touched)):
+        width = int(nets.bit_widths[k])
+        for i in range(a, b):
+            for j in range(i + 1, b):
                 key = (touched[i], touched[j])
-                pair_w[key] = pair_w.get(key, 0.0) + net.bit_width
+                pair_w[key] = pair_w.get(key, 0.0) + width
 
     new_edges = list(graph.edges)
     for (a, b), w in sorted(pair_w.items()):

@@ -1,8 +1,8 @@
-"""Structural netlist data model, JSON and structural-Verilog ingestion, bus bundling.
+"""Structural netlist data model, JSON ingestion, bus bundling.
 
-The JSON document format is described in ``docs/netlist_schema.json``.  All
-parsers produce the same validated :class:`Netlist`; instance ids are dense
-integers assigned in document order.
+The JSON document format is described in ``docs/netlist_schema.json``.  Both
+parsers (this one and :mod:`dfplace.verilog`) produce the same validated
+:class:`Netlist`; instance ids are dense integers assigned in document order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, repeat
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     BadOutline,
@@ -24,7 +27,6 @@ from .errors import (
     MalformedDocument,
     MissingInstances,
     UnknownMaster,
-    UnsupportedConstruct,
 )
 
 MACRO = "macro"
@@ -32,6 +34,10 @@ CELL = "cell"
 IO_PAD = "io_pad"
 KINDS = (MACRO, CELL, IO_PAD)
 SIDES = ("N", "E", "S", "W")
+# widest port, wire or net in bits: a Verilog signal is elaborated one bit at
+# a time, and a JSON ``bit_width`` is kept in an int64 column, where sums of
+# widths this narrow stay exact even as float64
+MAX_WIDTH = 65_536
 
 
 @dataclass(frozen=True)
@@ -50,9 +56,10 @@ class Master:
         return self.width * self.height
 
     @cached_property
-    def pin_names(self) -> frozenset[str]:
-        """Names of the pins; the one membership rule for connections."""
-        return frozenset(p for p, _, _ in self.pin_offsets)
+    def pin_index(self) -> dict[str, int]:
+        """Pin name -> index into ``pin_offsets``; the one membership rule for
+        connections, and how the net table stores a pin."""
+        return {p: k for k, (p, _, _) in enumerate(self.pin_offsets)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +84,11 @@ class Instance:
 
 @dataclass(frozen=True, slots=True)
 class Net:
-    """Directed (possibly bundled) connection: one driver pin, many sink pins."""
+    """Directed (possibly bundled) connection: one driver pin, many sink pins.
+
+    The row type of :class:`Nets`, built on demand when the table is indexed
+    or iterated.
+    """
 
     id: int
     base_name: str
@@ -86,11 +97,136 @@ class Net:
     bit_width: int = 1
 
 
+_COLUMNS = ("bit_widths", "driver", "driver_pin", "sink_start", "sink_inst", "sink_pin")
+
+
+def _csr_take(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR offsets of the rows ``rows`` of a CSR array with offsets ``start``,
+    in that order, and the indices of their entries in the original array."""
+    first = start[rows]
+    count = start[rows + 1] - first
+    new_start = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(count, out=new_start[1:])
+    take = np.repeat(first - new_start[:-1], count) + np.arange(new_start[-1])
+    return new_start, take
+
+
+def group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys`` (all >= 0), ascending, and the index of
+    each key's value among them.
+
+    Sorts with the stable argsort that the placer runs too.  ``np.unique``
+    would hash first, several times slower here, and it and ``np.sort``
+    would page in more of numpy's sort code, which shows in peak memory.
+    """
+    order = np.argsort(keys, kind="stable")
+    first = np.diff(keys[order], prepend=-1) != 0
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return keys[order[first]], inverse
+
+
+class Nets:
+    """The nets of a netlist as columns, one entry per net.
+
+    Net ``k`` is named ``base_names[k]``, ``bit_widths[k]`` bits wide and
+    driven by pin ``driver_pin[k]`` of instance ``driver[k]``; its sinks are
+    entries ``sink_start[k]:sink_start[k + 1]`` of ``sink_inst`` and
+    ``sink_pin`` (CSR form).  A pin is its index into the instance master's
+    ``pin_offsets``.  The integer columns are read-only int64 arrays.
+    Indexing or iterating the table builds :class:`Net` rows on demand.
+    """
+
+    __slots__ = ("instances", "base_names", *_COLUMNS)
+    __hash__ = None
+
+    def __init__(self, instances, base_names, bit_widths, driver, driver_pin,
+                 sink_start, sink_inst, sink_pin):
+        self.instances = instances  # resolves pin indices to names
+        self.base_names = tuple(base_names)
+        columns = (bit_widths, driver, driver_pin, sink_start, sink_inst, sink_pin)
+        for name, values in zip(_COLUMNS, columns):
+            array = np.array(values, dtype=np.int64)
+            array.flags.writeable = False
+            setattr(self, name, array)
+
+    @classmethod
+    def from_rows(cls, instances, rows) -> Nets:
+        """The table of ``rows``: (base name, driver, sinks, bit width) tuples
+        whose driver and sinks are (instance id, pin name) pairs."""
+        names, widths, driver, driver_pin, start, sink_inst, sink_pin = [], [], [], [], [0], [], []
+        for base, (d, pin), sinks, bw in rows:
+            names.append(base)
+            widths.append(bw)
+            driver.append(d)
+            driver_pin.append(instances[d].master.pin_index[pin])
+            for i, p in sinks:
+                sink_inst.append(i)
+                sink_pin.append(instances[i].master.pin_index[p])
+            start.append(len(sink_inst))
+        return cls(instances, names, widths, driver, driver_pin, start, sink_inst, sink_pin)
+
+    def select(self, rows, base_names, bit_widths) -> Nets:
+        """The table of nets ``rows``, in that order, under new names and widths."""
+        rows = np.asarray(rows, dtype=np.int64)
+        start, take = _csr_take(self.sink_start, rows)
+        return Nets(self.instances, base_names, bit_widths, self.driver[rows],
+                    self.driver_pin[rows], start, self.sink_inst[take], self.sink_pin[take])
+
+    def fanout(self) -> np.ndarray:
+        """Sink count of each net, repeated sinks included."""
+        return np.diff(self.sink_start)
+
+    def sink_net(self) -> np.ndarray:
+        """The net of each sink entry."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), self.fanout())
+
+    def sink_groups(self, group_of: np.ndarray, keep: np.ndarray | None = None):
+        """Each distinct (net, group of a sink instance) pair once, ordered by
+        net, then group, as two arrays.  ``group_of`` maps an instance id to a
+        group id >= 0; ``keep`` selects the sink entries that count."""
+        n = int(group_of.max()) + 1 if len(group_of) else 1
+        key = self.sink_net() * n + group_of[self.sink_inst]
+        if keep is not None:
+            key = key[keep]
+        return np.divmod(group_keys(key)[0], n)
+
+    def __len__(self) -> int:
+        return len(self.base_names)
+
+    def __getitem__(self, k: int) -> Net:
+        k = range(len(self))[k]
+        instances = self.instances
+
+        def pin(i, p):
+            return (i, instances[i].master.pin_offsets[p][0])
+
+        lo, hi = self.sink_start[k : k + 2].tolist()
+        sinks = map(pin, self.sink_inst[lo:hi].tolist(), self.sink_pin[lo:hi].tolist())
+        return Net(k, self.base_names[k], pin(int(self.driver[k]), int(self.driver_pin[k])),
+                   tuple(sinks), int(self.bit_widths[k]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Nets):
+            return NotImplemented
+        return (
+            self.base_names == other.base_names
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
+            and self.instances == other.instances
+        )
+
+    def __repr__(self) -> str:
+        return f"Nets({len(self)} nets, {len(self.sink_inst)} sinks)"
+
+
 @dataclass(frozen=True)
 class Netlist:
     masters: tuple[Master, ...]
     instances: tuple[Instance, ...]
-    nets: tuple[Net, ...]
+    nets: Nets
     outline: tuple[float, float]
     io_side: tuple[tuple[int, str], ...]  # (instance id, side), sorted by id
 
@@ -106,15 +242,14 @@ def collector_paused():
     """Pause the cyclic garbage collector while a parse builds its model.
 
     A decoded document and the netlist model built from it are acyclic
-    (dicts, lists, tuples, frozen dataclasses): reference counting frees
-    them, so collector passes during a parse find nothing and only walk the
-    growing heap.  The caller's setting is restored in a ``finally``.  When
-    the collector was on and the block ends normally, one pass over the two
-    young generations then moves the model to the old one at once, inside
-    the parse, rather than in two later passes wherever an allocation
-    happens to trigger them; it also frees the Verilog elaborator's
-    self-referencing closure.  ``gc.freeze()`` would instead act on the
-    whole process and keep a caller's cycles alive for good.
+    (dicts, lists, tuples, frozen dataclasses, arrays): reference counting
+    frees them, so collector passes during a parse find nothing and only walk
+    the growing heap.  The caller's setting is restored in a ``finally``.
+    When the collector was on and the block ends normally, one pass over the
+    two young generations then moves the model to the old one at once,
+    inside the parse, rather than in two later passes wherever an allocation
+    happens to trigger them.  ``gc.freeze()`` would instead act on the whole
+    process and keep a caller's cycles alive for good.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -231,20 +366,6 @@ def _intern_path(paths: dict, raw, inst_name: str) -> tuple[str, ...]:
     return path
 
 
-def _resolve_endpoint(ep, by_name: dict[str, Instance], net_name: str) -> tuple[int, str]:
-    if type(ep) is not list:  # a two-character string would unpack too
-        raise TypeError(f"endpoint {ep!r} is not a list")
-    inst_name, pin = ep
-    inst = by_name.get(inst_name)
-    if inst is None:
-        raise DanglingPin(f"net '{net_name}': unknown instance '{inst_name}'")
-    if pin not in inst.master.pin_names:
-        raise DanglingPin(
-            f"net '{net_name}': instance '{inst_name}' has no pin '{pin}'"
-        )
-    return inst.id, pin
-
-
 @collector_paused()
 def parse_netlist(source: str | os.PathLike) -> Netlist:
     """Parse and validate the JSON netlist document format.
@@ -275,7 +396,8 @@ def parse_netlist(source: str | os.PathLike) -> Netlist:
     if not raw_instances:
         raise MissingInstances("netlist has no instances")
     instances: list[Instance] = []
-    by_name: dict[str, Instance] = {}
+    by_name: dict[str, int] = {}  # instance name -> id
+    pin_maps: list[dict[str, int]] = []  # per instance id, its master's pin_index
     paths: dict[tuple[str, ...], tuple[str, ...]] = {}  # one tuple per distinct path
     for idx, entry in enumerate(raw_instances):
         try:
@@ -294,12 +416,19 @@ def parse_netlist(source: str | os.PathLike) -> Netlist:
         if master is None:
             raise UnknownMaster(f"instance '{name}': unknown master '{master_name}'")
         path = path or _intern_path(paths, raw_path, name)
-        inst = Instance(idx, name, master, path)
-        instances.append(inst)
-        by_name[name] = inst
+        instances.append(Instance(idx, name, master, path))
+        by_name[name] = idx
+        pin_maps.append(master.pin_index)
+    instances = tuple(instances)
 
-    nets: list[Net] = []
-    for idx, entry in enumerate(_object(doc, "nets", list)):
+    # the net columns, filled in document order; each net's endpoints are its
+    # driver, then its sinks
+    base_names: list[str] = []
+    bit_widths: list[int] = []
+    ends = [0]  # endpoint offsets, one past each net's last
+    ep_inst: list[int] = []
+    ep_pin: list[int] = []
+    for entry in _object(doc, "nets", list):
         try:
             base = entry["base_name"]
             driver_raw = entry["driver"]
@@ -309,24 +438,47 @@ def parse_netlist(source: str | os.PathLike) -> Netlist:
                 raise MalformedDocument(f"net base_name must be a string, got {base!r}")
             if type(bw) is not int or bw < 1:
                 raise MalformedDocument(f"net '{base}': bit_width must be an integer >= 1")
-            driver = _resolve_endpoint(driver_raw, by_name, base)
-            sinks = tuple([_resolve_endpoint(s, by_name, base) for s in sinks_raw])
+            if bw > MAX_WIDTH:
+                raise MalformedDocument(f"net '{base}': bit_width {bw} is above {MAX_WIDTH}")
+            for ep in chain((driver_raw,), sinks_raw):
+                if type(ep) is not list:  # a two-character string would unpack too
+                    raise TypeError(f"endpoint {ep!r} is not a list")
+                inst_name, pin = ep
+                iid = by_name.get(inst_name)
+                if iid is None:
+                    raise DanglingPin(f"net '{base}': unknown instance '{inst_name}'")
+                k = pin_maps[iid].get(pin)
+                if k is None:
+                    raise DanglingPin(f"net '{base}': instance '{inst_name}' has no pin '{pin}'")
+                ep_inst.append(iid)
+                ep_pin.append(k)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedDocument(f"bad net entry: {entry!r} ({exc})") from exc
-        nets.append(Net(idx, base, driver, sinks, bw))
+        base_names.append(base)
+        bit_widths.append(bw)
+        ends.append(len(ep_inst))
+    ends = np.array(ends, dtype=np.int64)
+    ep_inst = np.array(ep_inst, dtype=np.int64)
+    ep_pin = np.array(ep_pin, dtype=np.int64)
+    first = ends[:-1]  # each net's driver
+    nets = Nets(
+        instances, base_names, bit_widths, ep_inst[first], ep_pin[first],
+        ends - np.arange(len(ends)),  # each earlier net drops its driver
+        np.delete(ep_inst, first), np.delete(ep_pin, first),
+    )
 
     io_side = []
     raw_sides = _object(doc, "io_side", dict)
     for name in sorted(raw_sides):
-        inst = by_name.get(name)
-        if inst is None:
+        iid = by_name.get(name)
+        if iid is None:
             raise DanglingPin(f"io_side references unknown instance '{name}'")
         side = raw_sides[name]
         if side not in SIDES:
             raise MalformedDocument(f"io_side for '{name}': bad side '{side}'")
-        if not inst.is_io:
+        if not instances[iid].is_io:
             raise MalformedDocument(f"io_side given for non-IO instance '{name}'")
-        io_side.append((inst.id, side))
+        io_side.append((iid, side))
     sided = {iid for iid, _ in io_side}
     for inst in instances:
         if inst.is_io and inst.id not in sided:
@@ -334,8 +486,8 @@ def parse_netlist(source: str | os.PathLike) -> Netlist:
 
     return Netlist(
         masters=tuple(masters[k] for k in sorted(masters)),
-        instances=tuple(instances),
-        nets=tuple(nets),
+        instances=instances,
+        nets=nets,
         outline=outline,
         io_side=tuple(sorted(io_side)),
     )
@@ -383,7 +535,9 @@ def serialize_netlist(netlist: Netlist) -> str:
 # Bus bundling
 # ---------------------------------------------------------------------------
 
-_INDEXED = re.compile(r"^(?P<base>.+)\[(?P<idx>\d+)\]$")
+# a leading zero of the index is not captured, so (length, digits) orders
+# the indices as numbers
+_INDEXED = re.compile(r"^(?P<base>.+)\[0*(?P<idx>\d+)\]$")
 
 
 def bundle_buses(netlist: Netlist) -> Netlist:
@@ -392,414 +546,62 @@ def bundle_buses(netlist: Netlist) -> Netlist:
     Grouping key is (base name, driver instance, sink instance multiset); pins
     and index gaps are ignored, so ``d[0]`` and ``d[2]`` with the same endpoints
     still form a 2-bit bus.  Unindexed or already-wide nets pass through.  The
-    merged net keeps the pins of its lowest-indexed member.
+    merged net keeps the pins of its lowest-indexed member and takes the place
+    of its first member in net order.
     """
-    slots: list = []  # pass-through Net, or group key (first occurrence order)
-    groups: dict[tuple, list[tuple[int, Net]]] = {}
-    for net in netlist.nets:
-        m = _INDEXED.match(net.base_name)
-        if net.bit_width != 1 or not m:
-            slots.append(net)
-            continue
-        key = (
-            m.group("base"),
-            net.driver[0],
-            tuple(sorted(i for i, _ in net.sinks)),
-        )
-        if key not in groups:
-            groups[key] = []
-            slots.append(key)
-        groups[key].append((int(m.group("idx")), net))
+    nets = netlist.nets
+    names = nets.base_names
+    # only a name ending in "]" (or in "]\n", which "$" allows) can match;
+    # testing that first skips most of the regex work
+    closed = np.fromiter(map(str.endswith, names, repeat(("]", "]\n"))), dtype=bool, count=len(names))
+    tried = np.flatnonzero(closed & (nets.bit_widths == 1))
+    found = [_INDEXED.match(names[k]) for k in tried.tolist()]
+    hit = np.fromiter(map(bool, found), dtype=bool, count=len(found))
+    cand = tried[hit]  # the nets to group
+    found = list(compress(found, hit))
+    bases = [m["base"] for m in found]
+    vocab = {b: i for i, b in enumerate(dict.fromkeys(bases))}
+    base_id = np.fromiter(map(vocab.__getitem__, bases), dtype=np.int64, count=len(bases))
 
-    out: list[Net] = []
-    for slot in slots:
-        if isinstance(slot, Net):
-            if slot.id != len(out):
-                slot = Net(len(out), slot.base_name, slot.driver, slot.sinks, slot.bit_width)
-            out.append(slot)
-        else:
-            members = sorted(groups[slot], key=lambda t: t[0])
-            first = members[0][1]
-            out.append(
-                Net(len(out), slot[0], first.driver, first.sinks, len(members))
-            )
-    return Netlist(netlist.masters, netlist.instances, tuple(out), netlist.outline, netlist.io_side)
+    # each candidate's sink instances, sorted, one fanout at a time: a group
+    # is one distinct row of (base, driver, sinks)
+    start, take = _csr_take(nets.sink_start, cand)
+    owner = np.repeat(np.arange(len(cand)), np.diff(start))
+    sinks = nets.sink_inst[take]
+    sinks = sinks[np.lexsort((sinks, owner))]
+    fanout = np.diff(start)
+    group = np.empty(len(cand), dtype=np.int64)
+    n_groups = 0
+    for f in np.flatnonzero(np.bincount(fanout)).tolist():
+        members = np.flatnonzero(fanout == f)
+        rows = np.column_stack((
+            base_id[members], nets.driver[cand[members]],
+            sinks[start[members][:, None] + np.arange(f)],
+        ))
+        _, inverse = np.unique(rows, axis=0, return_inverse=True)
+        group[members] = n_groups + inverse.reshape(-1)
+        n_groups += int(inverse.max()) + 1
 
+    # members by group, then index as a number, then (the sort is stable)
+    # net order: each group's first is the lowest-indexed member, whose pins
+    # the bus keeps
+    digits = [m["idx"] for m in found]
+    order = np.lexsort((
+        np.array(digits, dtype=str),
+        np.fromiter(map(len, digits), dtype=np.int64, count=len(digits)), group,
+    ))
+    head = np.flatnonzero(np.diff(group[order], prepend=-1))
+    _, first = np.unique(group, return_index=True)  # candidates ascend
+    slot = cand[first]  # where each bus goes: its first member's place
 
-# ---------------------------------------------------------------------------
-# Structural Verilog subset
-# ---------------------------------------------------------------------------
-
-_BEHAVIORAL = {
-    "always", "initial", "assign", "reg", "if", "else", "case", "casez",
-    "casex", "for", "while", "repeat", "function", "task", "specify",
-    "generate", "genvar", "parameter", "localparam",
-}
-
-_ID = r"[A-Za-z_][A-Za-z0-9_$]*"
-_DIRECTION = re.compile(r"(input|output|inout)\b")  # a range may follow directly
-_RANGE = re.compile(r"\[\s*(\d+)\s*:\s*(\d+)\s*\]")
-
-
-@dataclass
-class _ModuleDef:
-    name: str
-    ports: list  # (name, direction, width) in declaration order
-    wires: dict  # name -> width
-    insts: list  # (target, inst name, {port: (sig, bit|None)}, line)
-
-
-def _strip_comments(text: str) -> str:
-    # keep newlines so reported line numbers stay correct
-    text = re.sub(r"/\*.*?\*/", lambda m: "\n" * m.group(0).count("\n"), text, flags=re.S)
-    return re.sub(r"//[^\n]*", "", text)
-
-
-def _split_statements(text: str):
-    """Yield (statement, line number) pairs, line counted at statement start."""
-    line = 1
-    buf = []
-    start = 1
-    started = False
-    for ch in text:
-        if ch == "\n":
-            line += 1
-        if ch == ";":
-            stmt = "".join(buf).strip()
-            if stmt:
-                yield stmt, start
-            buf = []
-            started = False
-            continue
-        if not started and not ch.isspace():
-            start = line
-            started = True
-        buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        yield tail, start
-
-
-def _parse_width(decl: str) -> tuple[int, str]:
-    m = _RANGE.search(decl)
-    if not m:
-        return 1, decl
-    hi, lo = int(m.group(1)), int(m.group(2))
-    return abs(hi - lo) + 1, decl[: m.start()] + decl[m.end():]
-
-
-def _parse_port_decl(stmt: str, ports: dict, order: list) -> tuple[str, int]:
-    """Record the ports that ``stmt`` declares; returns (direction, width)."""
-    m = _DIRECTION.match(stmt)
-    direction = m.group(1)
-    width, rest = _parse_width(stmt[m.end():])
-    for name in [n.strip() for n in rest.split(",") if n.strip()]:
-        if not re.fullmatch(_ID, name):
-            raise UnsupportedConstruct(f"bad port name '{name}'")
-        if name not in ports:
-            order.append(name)
-        ports[name] = (direction, width)
-    return direction, width
-
-
-def _parse_modules(text: str) -> dict[str, _ModuleDef]:
-    modules: dict[str, _ModuleDef] = {}
-    current: _ModuleDef | None = None
-    port_info: dict = {}
-    port_order: list = []
-    for stmt, line in _split_statements(text):
-        head = stmt.split(None, 1)[0] if stmt.split() else ""
-        if re.match(r"endmodule\b", stmt):
-            if current is None:
-                raise UnsupportedConstruct(f"line {line}: endmodule outside module")
-            current.ports = [(n, *port_info[n]) for n in port_order]
-            modules[current.name] = current
-            current = None
-            stmt = stmt[len("endmodule"):].strip()
-            if not stmt:
-                continue
-            head = stmt.split(None, 1)[0]
-        if head == "module":
-            m = re.match(rf"module\s+({_ID})\s*(\((?P<plist>.*)\))?\s*$", stmt, re.S)
-            if not m:
-                raise UnsupportedConstruct(f"line {line}: malformed module header")
-            if current is not None:
-                raise UnsupportedConstruct(f"line {line}: nested module")
-            current = _ModuleDef(m.group(1), [], {}, [])
-            port_info, port_order = {}, []
-            plist = m.group("plist")
-            if plist:
-                carry = None  # (direction, width) continues over bare names
-                for chunk in _split_port_list(plist):
-                    if _DIRECTION.match(chunk.strip()):
-                        carry = _parse_port_decl(chunk.strip(), port_info, port_order)
-                    else:
-                        name = chunk.strip()
-                        if re.fullmatch(_ID, name):
-                            if name not in port_info:
-                                port_order.append(name)
-                                port_info[name] = carry or ("inout", 1)
-                        else:
-                            raise UnsupportedConstruct(
-                                f"line {line}: unsupported port expression '{name}'"
-                            )
-            continue
-        if current is None:
-            raise UnsupportedConstruct(f"line {line}: statement outside module")
-        if _DIRECTION.match(stmt):
-            _parse_port_decl(stmt, port_info, port_order)
-            continue
-        if re.match(r"wire\b", stmt):
-            width, rest = _parse_width(stmt[len("wire"):])
-            for name in [n.strip() for n in rest.split(",") if n.strip()]:
-                if not re.fullmatch(_ID, name):
-                    raise UnsupportedConstruct(f"line {line}: bad wire name '{name}'")
-                current.wires[name] = width
-            continue
-        if head in _BEHAVIORAL:
-            raise UnsupportedConstruct(f"line {line}: behavioral construct '{head}'")
-        im = re.match(
-            rf"({_ID})\s+({_ID})\s*\((?P<conns>.*)\)\s*$", stmt, re.S
-        )
-        if not im:
-            raise UnsupportedConstruct(f"line {line}: cannot parse statement '{stmt[:40]}'")
-        conns = {}
-        body = im.group("conns").strip()
-        if body:
-            for chunk in _split_port_list(body):
-                cm = re.match(
-                    rf"\.\s*({_ID})\s*\(\s*({_ID})\s*(\[\s*(\d+)\s*\])?\s*\)$",
-                    chunk.strip(),
-                )
-                if not cm:
-                    raise UnsupportedConstruct(
-                        f"line {line}: only named scalar/bit-select connections "
-                        f"are supported, got '{chunk.strip()}'"
-                    )
-                bit = int(cm.group(4)) if cm.group(4) is not None else None
-                conns[cm.group(1)] = (cm.group(2), bit)
-        current.insts.append((im.group(1), im.group(2), conns, line))
-    if current is not None:
-        raise UnsupportedConstruct(f"module '{current.name}' missing endmodule")
-    return modules
-
-
-def _split_port_list(body: str) -> list[str]:
-    # split on commas that are not inside parentheses
-    out, depth, buf = [], 0, []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    if "".join(buf).strip():
-        out.append("".join(buf))
-    return out
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-@collector_paused()
-def parse_verilog_subset(text: str, geometry: str | dict) -> Netlist:
-    """Parse structural Verilog (modules, wires, named-port instantiations).
-
-    ``geometry`` is the sidecar document (JSON text or dict) carrying the
-    ``outline``, the ``masters`` list (optionally with ``out_pins`` to resolve
-    net direction) and an optional ``io_side`` map from top-level port name to
-    outline side.  Top-level ports become zero-area IO pad instances; ports
-    without an io_side entry are assigned sides round-robin N/E/S/W.
-
-    Net direction resolution: a pin listed in its master's ``out_pins`` drives;
-    otherwise a top-level input port drives; otherwise the first-connected pin
-    drives (documented fallback for direction-less libraries).
-    """
-    if isinstance(geometry, str):
-        try:
-            geometry = json.loads(geometry)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedDocument(f"geometry sidecar is not valid JSON: {exc}") from exc
-    if not isinstance(geometry, dict):
-        raise MalformedDocument(f"geometry sidecar must be an object, got {geometry!r}")
-    outline = _parse_outline(geometry)
-    masters = _parse_masters(geometry)
-    io_master = next(
-        (masters[k] for k in sorted(masters) if masters[k].kind == IO_PAD), None
-    )
-    if io_master is None:
-        io_master = Master("__io__", 0.0, 0.0, IO_PAD, (("p", 0.0, 0.0),))
-
-    modules = _parse_modules(_strip_comments(text))
-    if not modules:
-        raise MalformedDocument("no module definitions found")
-    instantiated = {t for md in modules.values() for t, _, _, _ in md.insts}
-    tops = [name for name in modules if name not in instantiated]
-    if not tops:
-        raise MalformedDocument("no top module (instantiation cycle?)")
-    top = modules[sorted(tops)[0]]
-
-    uf = _UnionFind()
-    instances: list[Instance] = []
-    # signal bit key -> list of (inst id, pin, order); merged by final root later
-    taps: dict = {}
-    order_counter = [0]
-
-    declared: dict = {}  # (scope, signal) -> declared width
-
-    def tap(key, inst_id, pin):
-        uf.find(key)  # register the key even if never unioned
-        taps.setdefault(key, []).append((inst_id, pin, order_counter[0]))
-        order_counter[0] += 1
-
-    def sig_bits(scope, md, name, bit, line):
-        """The bits of signal ``name``, or only bit ``bit`` of them when given."""
-        width = md.wires.get(name)
-        if width is None:
-            width = next((w for pname, _, w in md.ports if pname == name), None)
-        if width is None:
-            raise DanglingPin(f"line {line}: undeclared signal '{name}'")
-        declared[(scope, name)] = width
-        if bit is None:
-            return [(scope, name, b) for b in range(width)]
-        if bit >= width:
-            raise MalformedDocument(f"line {line}: bit {bit} of '{name}' is past its width {width}")
-        return [(scope, name, bit)]
-
-    active: set[str] = set()  # the modules on the current instantiation chain
-
-    def elaborate(scope: tuple[str, ...], md: _ModuleDef, path: tuple[str, ...]):
-        active.add(md.name)
-        for target, iname, conns, line in md.insts:
-            child_scope = scope + (iname,)
-            if target in active:
-                raise MalformedDocument(
-                    f"line {line}: module '{target}' is instantiated inside itself "
-                    f"(instantiation cycle through '{md.name}')"
-                )
-            if target in modules:
-                child = modules[target]
-                port_widths = {p: w for p, _, w in child.ports}
-                for port, (sig, bit) in sorted(conns.items()):
-                    if port not in port_widths:
-                        raise DanglingPin(
-                            f"line {line}: module '{target}' has no port '{port}'"
-                        )
-                    bits = sig_bits(scope, md, sig, bit, line)
-                    pw = port_widths[port]
-                    if len(bits) != pw:
-                        raise MalformedDocument(
-                            f"line {line}: width mismatch on '{iname}.{port}'"
-                        )
-                    declared[(child_scope, port)] = pw
-                    for b in range(pw):
-                        uf.union(bits[b], (child_scope, port, b))
-                elaborate(child_scope, child, path + (iname,))
-            elif target in masters:
-                master = masters[target]
-                inst = Instance(len(instances), "/".join(child_scope), master, path)
-                instances.append(inst)
-                for port, (sig, bit) in sorted(conns.items()):
-                    if port not in master.pin_names:
-                        raise DanglingPin(
-                            f"line {line}: master '{target}' has no pin '{port}'"
-                        )
-                    bits = sig_bits(scope, md, sig, bit, line)
-                    for key in bits:
-                        tap(key, inst.id, port)
-            else:
-                raise UnknownMaster(
-                    f"line {line}: '{target}' is neither a module nor a master"
-                )
-        active.discard(md.name)
-
-    root_scope = (top.name,)
-    side_map = _object(geometry, "io_side", dict)
-    io_dirs: dict[int, str] = {}
-    io_side: list[tuple[int, str]] = []
-    for pidx, (pname, direction, width) in enumerate(top.ports):
-        inst = Instance(len(instances), pname, io_master, (top.name,))
-        instances.append(inst)
-        io_dirs[inst.id] = direction
-        side = side_map.get(pname, SIDES[pidx % len(SIDES)])
-        if side not in SIDES:
-            raise MalformedDocument(f"io_side for port '{pname}': bad side '{side}'")
-        io_side.append((inst.id, side))
-        declared[(root_scope, pname)] = width
-        pin = io_master.pin_offsets[0][0]
-        for b in range(width):
-            tap((root_scope, pname, b), inst.id, pin)
-
-    elaborate(root_scope, top, (top.name,))
-    if not instances:
-        raise MissingInstances("no leaf instances elaborated")
-
-    # regroup taps and aliases by final union-find root
-    merged: dict = {}
-    aliases: dict = {}
-    for key in list(uf.parent):
-        aliases.setdefault(uf.find(key), []).append(key)
-    for key in taps:
-        merged.setdefault(uf.find(key), []).extend(taps[key])
-    nets: list[Net] = []
-    net_items = []
-    for root, conns in merged.items():
-        if not conns:
-            continue
-        conns = sorted(conns, key=lambda t: t[2])
-        # representative name: shallowest scope, then lexicographic
-        names = aliases[root]
-        scope, name, bit = min(names, key=lambda k: (len(k[0]), k[0], k[1], k[2]))
-        base = f"{name}[{bit}]" if declared.get((scope, name), 1) > 1 else name
-        net_items.append((scope, name, bit, base, conns))
-    net_items.sort(key=lambda t: (t[0], t[1], t[2]))
-    for _, _, _, base, conns in net_items:
-        driver = None
-        for inst_id, pin, _ in conns:
-            if pin in instances[inst_id].master.out_pins:
-                driver = (inst_id, pin)
-                break
-        if driver is None:
-            for inst_id, pin, _ in conns:
-                if io_dirs.get(inst_id) == "input":
-                    driver = (inst_id, pin)
-                    break
-        if driver is None:
-            driver = (conns[0][0], conns[0][1])
-        # all taps except the one chosen as driver (first matching occurrence)
-        sinks = []
-        skipped = False
-        for i, p, _ in conns:
-            if not skipped and (i, p) == driver:
-                skipped = True
-                continue
-            sinks.append((i, p))
-        nets.append(Net(len(nets), base, driver, tuple(sinks), 1))
-
-    return Netlist(
-        masters=tuple(
-            sorted(set(masters.values()) | {io_master}, key=lambda m: m.name)
-        ),
-        instances=tuple(instances),
-        nets=tuple(nets),
-        outline=outline,
-        io_side=tuple(sorted(io_side)),
-    )
+    src = np.arange(len(nets))
+    src[slot] = cand[order[head]]
+    widths = nets.bit_widths.copy()
+    widths[slot] = np.diff(head, append=len(order))
+    renamed = np.array(names, dtype=object)
+    renamed[slot] = [bases[k] for k in order[head].tolist()]
+    keep = np.ones(len(nets), dtype=bool)
+    keep[cand] = False
+    keep[slot] = True
+    out = nets.select(src[keep], renamed[keep].tolist(), widths[keep])
+    return Netlist(netlist.masters, netlist.instances, out, netlist.outline, netlist.io_side)

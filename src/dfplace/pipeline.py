@@ -19,7 +19,7 @@ import numpy as np
 
 from . import clustering, dataflow, finetune, metrics, placer, render
 from .errors import ConfigError, MalformedDocument, PipelineStageError
-from .netlist import Netlist, bundle_buses, parse_netlist, parse_verilog_subset
+from .netlist import Netlist, bundle_buses, parse_netlist
 
 STAGES = ("parse", "cluster", "extract", "gp", "sa", "flip", "report")
 
@@ -328,6 +328,8 @@ def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineRe
         if config.netlist is not None:
             nl = parse_netlist(Path(config.netlist))
         else:
+            from .verilog import parse_verilog_subset  # compiled only when used
+
             nl = parse_verilog_subset(_read_text(config.verilog), _read_text(config.geometry))
         res.netlist = bundle_buses(nl)
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .netlist import CELL, IO_PAD, MACRO, SIDES, Instance, Master, Net, Netlist
+from .netlist import CELL, IO_PAD, MACRO, SIDES, Instance, Master, Netlist, Nets
 
 
 def _cell_master() -> Master:
@@ -90,10 +90,10 @@ def generate_design(
         pads_out.append(add(f"pad_out{m}", pad, ("top",), side))
     clk_pad = add("pad_clk", pad, ("top",), "N") if include_clock else None
 
-    nets: list[Net] = []
+    rows = []  # (base name, driver, sinks, bit width)
 
     def net(base, driver, sinks):
-        nets.append(Net(len(nets), base, driver, tuple(sinks), 1))
+        rows.append((base, driver, sinks, 1))
 
     for m in range(n_modules):
         mc = cells[m]
@@ -141,10 +141,11 @@ def generate_design(
         side_len = max(24.0, float(round(math.sqrt(total_area * 4.0), 1)))
         outline = (side_len, side_len)
 
+    instances = tuple(instances)
     return Netlist(
         masters=tuple(masters[k] for k in sorted(masters)),
-        instances=tuple(instances),
-        nets=tuple(nets),
+        instances=instances,
+        nets=Nets.from_rows(instances, rows),
         outline=outline,
         io_side=tuple(sorted(io_side)),
     )
@@ -186,7 +187,7 @@ def random_netlist(
     def sink_pin(inst):
         return {"LUT": "a", "PAD": "p"}.get(inst.master.name, "din")
 
-    nets: list[Net] = []
+    rows = []  # (base name, driver, sinks, bit width)
     for i in range(n_nets):
         d = instances[int(rng.integers(0, len(instances)))]
         fanout = int(rng.integers(1, max_fanout + 1))
@@ -198,14 +199,15 @@ def random_netlist(
             base = f"b{int(rng.integers(0, 12))}[{int(rng.integers(0, 8))}]"
         else:
             base = f"n{i}"
-        nets.append(Net(len(nets), base, (d.id, drive_pin(d)), tuple(sinks), 1))
+        rows.append((base, (d.id, drive_pin(d)), sinks, 1))
 
     total_area = sum(i.master.area for i in instances)
     side_len = max(20.0, float(round(math.sqrt(total_area * 4.0), 1)))
+    instances = tuple(instances)
     return Netlist(
         masters=tuple(masters[k] for k in sorted(masters)),
-        instances=tuple(instances),
-        nets=tuple(nets),
+        instances=instances,
+        nets=Nets.from_rows(instances, rows),
         outline=(side_len, side_len),
         io_side=tuple(sorted(io_side)),
     )

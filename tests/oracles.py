@@ -70,6 +70,66 @@ def indirect_pairs_brute(cn, netlist, fanout_limit, name_filters):
     return pair_w
 
 
+def cluster_edges_reference(netlist, cn):
+    """The per-net loop that ``clustering.compute_cluster_edges`` must
+    reproduce exactly: (src, dst, summed bit width) edges sorted by (src, dst),
+    each net adding its width once per distinct sink cluster other than its
+    driver's."""
+    acc = {}
+    for net in netlist.nets:
+        src = cn.cluster_of(net.driver[0])
+        sink_clusters = {cn.cluster_of(i) for i, _ in net.sinks}
+        for dst in sorted(sink_clusters):
+            if dst == src:
+                continue
+            acc[(src, dst)] = acc.get((src, dst), 0) + net.bit_width
+    return tuple((s, d, w) for (s, d), w in sorted(acc.items()))
+
+
+def bundle_buses_reference(netlist):
+    """The per-net loop that ``netlist.bundle_buses`` must reproduce exactly:
+    the bundled nets as a tuple of ``Net`` rows.
+
+    Indexed scalar nets ``base[i]`` group by (base name, driver instance,
+    sorted sink instances); a group becomes one net named ``base``, as wide
+    as its member count, with the pins of its lowest-indexed member, at the
+    place of its first member.  Other nets pass through.
+    """
+    import re
+
+    from dfplace.netlist import Net
+
+    indexed = re.compile(r"^(?P<base>.+)\[(?P<idx>\d+)\]$")
+    slots = []  # pass-through Net, or group key (first occurrence order)
+    groups = {}
+    for net in netlist.nets:
+        m = indexed.match(net.base_name)
+        if net.bit_width != 1 or not m:
+            slots.append(net)
+            continue
+        key = (
+            m.group("base"),
+            net.driver[0],
+            tuple(sorted(i for i, _ in net.sinks)),
+        )
+        if key not in groups:
+            groups[key] = []
+            slots.append(key)
+        groups[key].append((int(m.group("idx")), net))
+
+    out = []
+    for slot in slots:
+        if isinstance(slot, Net):
+            if slot.id != len(out):
+                slot = Net(len(out), slot.base_name, slot.driver, slot.sinks, slot.bit_width)
+            out.append(slot)
+        else:
+            members = sorted(groups[slot], key=lambda t: t[0])
+            first = members[0][1]
+            out.append(Net(len(out), slot[0], first.driver, first.sinks, len(members)))
+    return tuple(out)
+
+
 def two_hop_triples_brute(cn, k):
     """Expected MCC (macro, via, dst) -> (first_hop, second_hop) map from all 2-edge paths."""
     kind = {c.id: c.kind for c in cn.clusters}

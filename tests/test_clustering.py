@@ -7,6 +7,8 @@ from dfplace.clustering import CELL_CLUSTER, MACRO_CLUSTER, dump_clusters
 from dfplace.errors import ThresholdConflict
 from dfplace.netlist import parse_netlist
 from dfplace.synth import random_netlist
+from oracles import cluster_edges_reference
+from scenes import oracle_scenes
 
 
 def flat_design(cells_per_leaf, leaves, macros_per_leaf=0, pads=None):
@@ -216,6 +218,15 @@ def test_edge_weight_conservation(seed):
         expected += net.bit_width * len(externals)
     assert sum(w for _, _, w in cn.edges) == expected
     assert all(s != d for s, d, _ in cn.edges)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cluster_edges_equal_reference(seed):
+    for scene in oracle_scenes(seed):
+        for nl in (scene, bundle_buses(scene)):
+            cn = compute_cluster_edges(nl, build_clusters(nl, 2, 12))
+            assert cn.edges == cluster_edges_reference(nl, cn)
+            assert all(type(v) is int for edge in cn.edges for v in edge)
 
 
 def test_dump_format():

@@ -26,9 +26,16 @@ from dfplace.dataflow import (
     export_graph,
 )
 from dfplace.errors import DegenerateCluster
-from dfplace.netlist import parse_netlist
+from dfplace.netlist import Nets, parse_netlist
 from dfplace.synth import random_netlist
 from oracles import indirect_pairs_brute, two_hop_triples_brute
+from scenes import oracle_scenes
+
+
+def rows_of(nets):
+    """``nets`` as the (base name, driver, sinks, bit width) rows that
+    ``Nets.from_rows`` takes."""
+    return [(n.base_name, n.driver, n.sinks, n.bit_width) for n in nets]
 
 
 def star_design(n_macros, bus_width=2):
@@ -308,7 +315,7 @@ def test_two_hop_edge_created():
 def test_no_two_hop_without_macro_precursor():
     nl, cn = two_hop_design()
     # drop the macro-cell net: only the cell-cell hop remains
-    nets = tuple(n for n in nl.nets if n.base_name != "h1")
+    nets = Nets.from_rows(nl.instances, rows_of(n for n in nl.nets if n.base_name != "h1"))
     nl2 = type(nl)(nl.masters, nl.instances, nets, nl.outline, nl.io_side)
     cn2 = compute_cluster_edges(nl2, build_clusters(nl2, 1, 10))
     g = extract_two_hop(classify_direct_edges(cn2), cn2, k=1.0)
@@ -331,12 +338,13 @@ def test_cell_hop_weight_arithmetic():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_indirect_matches_brute_force(seed):
-    nl = bundle_buses(random_netlist(seed, n_cells=24, n_macros=4, n_nets=45))
-    cn = clustered(nl)
-    g = extract_indirect_mm(classify_direct_edges(cn), cn, nl)
-    got = {(e.src, e.dst): e.weight for e in g.by_kind(MM_INDIRECT)}
-    want = indirect_pairs_brute(cn, nl, 32, ("clk*", "rst*", "reset*"))
-    assert got == pytest.approx(want)
+    for scene in oracle_scenes(seed):
+        nl = bundle_buses(scene)
+        cn = clustered(nl)
+        g = extract_indirect_mm(classify_direct_edges(cn), cn, nl)
+        got = {(e.src, e.dst): e.weight for e in g.by_kind(MM_INDIRECT)}
+        want = indirect_pairs_brute(cn, nl, 32, ("clk*", "rst*", "reset*"))
+        assert got == pytest.approx(want)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -357,11 +365,7 @@ def test_order_independence(seed):
     nl = bundle_buses(random_netlist(seed, n_cells=20, n_macros=4, n_nets=40))
     rng = np.random.default_rng(seed + 1000)
     perm = rng.permutation(len(nl.nets))
-    shuffled_nets = tuple(
-        type(nl.nets[0])(i, nl.nets[p].base_name, nl.nets[p].driver,
-                         nl.nets[p].sinks, nl.nets[p].bit_width)
-        for i, p in enumerate(perm)
-    )
+    shuffled_nets = Nets.from_rows(nl.instances, rows_of(nl.nets[int(p)] for p in perm))
     nl2 = type(nl)(nl.masters, nl.instances, shuffled_nets, nl.outline, nl.io_side)
     g1 = extract_dataflow(clustered(nl), nl)
     g2 = extract_dataflow(clustered(nl2), nl2)
@@ -375,9 +379,9 @@ def test_monotonicity_adding_a_net(seed):
 
     cells = [i.id for i in nl.instances if i.is_cell]
     macros = [i.id for i in nl.instances if i.is_macro]
-    extra = type(nl.nets[0])(len(nl.nets), "extra", (cells[0], "y"),
-                             ((macros[0], "din"), (macros[-1], "din")), 1)
-    nl2 = type(nl)(nl.masters, nl.instances, nl.nets + (extra,), nl.outline, nl.io_side)
+    extra = ("extra", (cells[0], "y"), ((macros[0], "din"), (macros[-1], "din")), 1)
+    nets = Nets.from_rows(nl.instances, rows_of(nl.nets) + [extra])
+    nl2 = type(nl)(nl.masters, nl.instances, nets, nl.outline, nl.io_side)
     g2 = extract_dataflow(clustered(nl2), nl2)
 
     def keyed(g):

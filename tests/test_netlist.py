@@ -15,7 +15,10 @@ from dfplace.errors import (
     UnknownMaster,
     UnsupportedConstruct,
 )
-from dfplace.netlist import parse_verilog_subset
+from dfplace.netlist import MAX_WIDTH, Net, Nets
+from dfplace.verilog import parse_verilog_subset
+from oracles import bundle_buses_reference
+from scenes import edge_case_netlist, oracle_scenes
 
 
 def make_doc(**overrides):
@@ -176,6 +179,24 @@ def test_instances_and_nets_are_slotted():
             obj.id = 5
 
 
+def test_net_table_rows():
+    nl = parse_netlist(json.dumps(make_doc()))
+    rows = [("n1", (0, "q"), ((1, "a"), (1, "a")), 3), ("n2", (1, "y"), (), 1)]
+    nets = Nets.from_rows(nl.instances, rows)
+    assert len(nets) == 2
+    assert list(nets) == [Net(0, "n1", (0, "q"), ((1, "a"), (1, "a")), 3),
+                          Net(1, "n2", (1, "y"), (), 1)]
+    assert nets[-1] == nets[1]
+    with pytest.raises(IndexError):
+        nets[2]
+    assert nets.sink_start.tolist() == [0, 2, 2]
+    assert nets.driver_pin.tolist() == [1, 1]  # index into the master's pin_offsets
+    with pytest.raises(ValueError):
+        nets.driver[0] = 1  # the columns are read-only
+    assert nets == Nets.from_rows(nl.instances, rows)
+    assert nets != Nets.from_rows(nl.instances, rows[:1])
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_round_trip_identity(seed):
     nl = generate_design(n_modules=3, cells_per_module=8, seed=seed,
@@ -250,6 +271,23 @@ def test_bundle_conserves_scalar_connectivity(seed):
     out = bundle_buses(nl)
     assert sum(n.bit_width for n in out.nets) == len(nl.nets)
     assert [n.id for n in out.nets] == list(range(len(out.nets)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bundle_equals_reference(seed):
+    for nl in oracle_scenes(seed):
+        assert tuple(bundle_buses(nl).nets) == bundle_buses_reference(nl)
+
+
+def test_bundle_edge_cases():
+    widths: dict = {}
+    for net in bundle_buses(edge_case_netlist(0)).nets:
+        widths.setdefault(net.base_name, []).append(net.bit_width)
+    # g[0], g[00], g[2], g[5], g[007] and the past-int64 index share
+    # endpoints; g[0] of another driver and g[9] of other sinks stand alone
+    assert sorted(widths["g"]) == [1, 1, 6]
+    assert widths["nl"] == [2] and widths["a[1]"] == [1]
+    assert widths["g[6]"] == [2] and widths["wide[3]"] == [4]  # already wide
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +430,47 @@ def test_verilog_bit_select_past_width(old, new, line):
         parse_verilog_subset(HIERARCHY_SRC.replace(old, new), GEOMETRY)
     assert str(err.value).startswith(f"line {line}: ")
     assert "'dout'" in str(err.value)
+
+
+WIDE_SOURCES = {
+    "port": "module top (din);\n  input [{hi}:0] din;\n  wire w;\n"
+            "  INV u1 (.a(din[0]), .y(w));\n  INV u2 (.a(w));\nendmodule\n",
+    "wire": "module top;\n  wire [{hi}:0] bus;\n  wire w;\n"
+            "  INV u1 (.a(bus[1]), .y(w));\n  INV u2 (.a(w));\nendmodule\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(WIDE_SOURCES))
+@pytest.mark.parametrize("width,code", [(MAX_WIDTH, 0), (MAX_WIDTH + 1, 4)])
+def test_verilog_width_bound(tmp_path, capsys, kind, width, code):
+    src = WIDE_SOURCES[kind].format(hi=width - 1)
+    assert place_verilog(tmp_path, src) == code
+    if code:
+        name = "din" if kind == "port" else "bus"
+        assert f"line 2: {kind} '{name}' is {width} bits wide" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("src", [
+    WIDE_SOURCES["port"].format(hi="9" * 5000),
+    WIDE_SOURCES["wire"].format(hi="9" * 5000),
+    WIDE_SOURCES["wire"].format(hi=3).replace("bus[1]", "bus[" + "9" * 5000 + "]"),
+], ids=["port_bound", "wire_bound", "bit_index"])
+def test_verilog_overlong_number(tmp_path, src):
+    """A bound or bit index too long for int() is not parsed as a number."""
+    assert place_verilog(tmp_path, src) == 4
+
+
+def test_verilog_deep_hierarchy(tmp_path, capsys):
+    """A 1,200-level chain of modules elaborates without recursing per level."""
+    depth = 1200
+    src = ["module top;\n  m0 u ();\nendmodule\n"]
+    src += [f"module m{i};\n  m{i + 1} u ();\nendmodule\n" for i in range(depth - 1)]
+    src.append(f"module m{depth - 1};\n  wire w;\n  INV a (.y(w));\n  INV b (.a(w));\n"
+               f"  RAM r (.d(w));\nendmodule\n")
+    assert place_verilog(tmp_path, "".join(src)) == 0, capsys.readouterr().err
+    nl = parse_verilog_subset("".join(src), GEOMETRY)
+    assert [len(i.hierarchy_path) for i in nl.instances] == [depth + 1] * 3
+    assert nl.instances[0].name == "/".join(["top"] + ["u"] * depth + ["a"])
 
 
 # ---------------------------------------------------------------------------

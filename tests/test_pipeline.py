@@ -394,6 +394,24 @@ def test_flag_overrides_keep_the_file_section(tmp_path):
     assert (cfg.loss.variant, cfg.loss.mc_scale, cfg.seed) == ("eq5", 2.0, 9)
 
 
+def test_pipeline_builds_no_net_rows(tmp_path, monkeypatch):
+    """The net passes read the table's columns: a run builds no ``Net`` row."""
+    from dfplace.netlist import Net
+
+    cfg = PipelineConfig.from_dict(fast_config(tmp_path))
+    built = []
+    init = Net.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Net, "__init__", counting_init)
+    res = run_pipeline(cfg)
+    assert built == []
+    assert res.netlist.nets[0].id == 0 and len(built) == 1  # the count sees rows
+
+
 # ---------------------------------------------------------------------------
 # malformed netlist input: exit 4, never 7
 # ---------------------------------------------------------------------------
