@@ -36,7 +36,6 @@ from .finetune import (
     FlipVector,
     decide_and_apply_flip,
     decompose_dataflow_vectors,
-    geometric_center,
     order_macros_for_flipping,
     run_flipping_pass,
 )

@@ -7,7 +7,8 @@ Usage::
 
 Exit codes: 0 success, 2 usage/config error, 3 input file missing (or a
 directory, or under a file), 4 netlist validation error, 5 clustering error, 6
-placement/metrics error, 7 unexpected internal error.
+placement/metrics error, 7 unexpected internal error.  An error's code is its
+category's ``exit_code`` in ``errors.py``.
 """
 
 from __future__ import annotations
@@ -19,42 +20,14 @@ from . import errors
 from .pipeline import STAGES, load_config, run_pipeline
 from .placer import LOSS_VARIANTS
 
-_EXIT_CODES = [
-    (errors.ConfigError, 2),
-    ((FileNotFoundError, IsADirectoryError, NotADirectoryError), 3),
-    (
-        (
-            errors.MissingInstances,
-            errors.DanglingPin,
-            errors.DuplicateName,
-            errors.BadOutline,
-            errors.UnsupportedConstruct,
-            errors.UnknownMaster,
-            errors.MalformedDocument,
-        ),
-        4,
-    ),
-    (errors.ThresholdConflict, 5),
-    (
-        (
-            errors.DegenerateCluster,
-            errors.EmptyGraph,
-            errors.BadPermutation,
-            errors.UnplacedCluster,
-            errors.EmptyCluster,
-            errors.EmptyPointSet,
-        ),
-        6,
-    ),
-]
-
 
 def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, errors.PipelineStageError):
         return _exit_code(exc.cause)
-    for types, code in _EXIT_CODES:
-        if isinstance(exc, types):
-            return code
+    if isinstance(exc, errors.DfplaceError):
+        return exc.exit_code
+    if isinstance(exc, (FileNotFoundError, IsADirectoryError, NotADirectoryError)):
+        return 3
     return 7
 
 

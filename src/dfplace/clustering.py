@@ -48,6 +48,10 @@ class ClusteredNetlist:
     def cell_cluster_ids(self) -> list[int]:
         return [c.id for c in self.clusters if c.kind == CELL_CLUSTER]
 
+    def macro_cluster_ids(self) -> list[int]:
+        """The real macro clusters: IO bundles are macro clusters too."""
+        return [c.id for c in self.clusters if c.kind == MACRO_CLUSTER and not c.is_io]
+
     def label(self, cid: int) -> str:
         """Stable human-readable cluster name for output files."""
         c = self.clusters[cid]

@@ -50,10 +50,6 @@ class DataflowEdge:
     via: int | None = None  # MCC only: first-hop cell cluster
     first_hop: float | None = None  # MCC only: macro -> via hop weight
 
-    @property
-    def directed(self) -> bool:
-        return self.kind in (MC, CC, MCC)
-
 
 @dataclass(frozen=True)
 class DataflowGraph:

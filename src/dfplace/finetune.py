@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataflow import CATEGORY, DataflowEdge, DataflowGraph
-from .errors import EmptyCluster
 from .metrics import total_hpwl
-from .placer import ORIENT_FLAGS, Floorplan
+from .placer import ORIENT_BY_FLAGS, ORIENT_FLAGS, Floorplan
 
 DEFAULT_ALPHA = 0.55
 DEFAULT_BETA = 0.30
@@ -34,8 +33,7 @@ def compose_orientation(current: str, flip: str) -> str:
     """Orientation after applying ``flip``: the mirror flags XOR, so a double
     flip restores the original exactly."""
     a, b = ORIENT_FLAGS[current], ORIENT_FLAGS[flip]
-    flags = (a[0] ^ b[0], a[1] ^ b[1])
-    return next(name for name, f in ORIENT_FLAGS.items() if f == flags)
+    return ORIENT_BY_FLAGS[(a[0] ^ b[0], a[1] ^ b[1])]
 
 
 @dataclass(frozen=True)
@@ -56,17 +54,6 @@ class FlipDecision:
     post_hpwl: float
     applied: bool
     name: str = ""
-
-
-def geometric_center(points) -> tuple[float, float]:
-    """Arithmetic mean of member coordinates."""
-    points = list(points)
-    if not points:
-        raise EmptyCluster("geometric center of zero members")
-    return (
-        sum(p[0] for p in points) / len(points),
-        sum(p[1] for p in points) / len(points),
-    )
 
 
 def decompose_dataflow_vectors(
@@ -158,15 +145,16 @@ def _flip_mode(macro_id: int, fv: FlipVector, fp: Floorplan) -> str:
 
     An axis counts as misaligned when the vector component and the
     pin-center offset have strictly opposite signs, so zero components or
-    centered pins never flip.
-    Mode S mirrors both axes, FS only left/right, FN only up/down, N none.
+    centered pins never flip.  The mode is the orientation whose
+    ``ORIENT_FLAGS`` are the misaligned axes: S mirrors both, FS only
+    left/right, FN only up/down, N none.
     """
     mp = fp.macro_placements[macro_id]
     pcx, pcy = mp.pin_center()
     ccx, ccy = mp.center()
     xvt, yvt = fv.v_t
     misaligned = (_sign(xvt) * _sign(pcx - ccx) < 0, _sign(yvt) * _sign(pcy - ccy) < 0)
-    return {(True, True): "S", (True, False): "FS", (False, True): "FN"}.get(misaligned, "N")
+    return ORIENT_BY_FLAGS[misaligned]
 
 
 def decide_and_apply_flip(

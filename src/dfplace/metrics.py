@@ -9,7 +9,7 @@ capacity; use :func:`calibrate_capacity` to pin one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -153,30 +153,19 @@ class RunReport:
     congestion_overflow: float
     congestion_capacity: float
     loss: LossBreakdown
-    timings: dict[str, float] = field(default_factory=dict)
     flip_log: tuple = ()
     # the grid behind congestion_overflow, capacity set; not serialized
     congestion_grid: CongestionGrid | None = field(default=None, repr=False, compare=False)
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "hpwl_total": self.hpwl_total,
             "wl_mm": self.wl_mm,
             "wl_mc": self.wl_mc,
             "wl_mcc": self.wl_mcc,
             "congestion_overflow": self.congestion_overflow,
             "congestion_capacity": self.congestion_capacity,
-            "loss": {
-                "wl_mm": self.loss.wl_mm,
-                "wl_mc": self.loss.wl_mc,
-                "wl_mcc": self.loss.wl_mcc,
-                "loss_mm": self.loss.loss_mm,
-                "loss_mc": self.loss.loss_mc,
-                "loss_mcc": self.loss.loss_mcc,
-                "loss_outline": self.loss.loss_outline,
-                "loss_boundary": self.loss.loss_boundary,
-                "total": self.loss.total,
-            },
+            "loss": asdict(self.loss),
             "flip_log": [
                 {
                     "macro": d_.macro_id,
@@ -191,12 +180,9 @@ class RunReport:
                 for d_ in self.flip_log
             ],
         }
-        if include_timings:
-            d["timings"] = dict(self.timings)
-        return d
 
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timings), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [
@@ -223,7 +209,6 @@ class RunReport:
 def emit_report(
     fp: Floorplan,
     graph: DataflowGraph,
-    timings: dict[str, float] | None = None,
     flip_log: tuple = (),
     loss: LossBreakdown | None = None,
     bin_size: float | None = None,
@@ -252,7 +237,6 @@ def emit_report(
         congestion_overflow=grid.overflow(),
         congestion_capacity=cap,
         loss=loss if loss is not None else LossBreakdown(),
-        timings=dict(timings or {}),
         flip_log=tuple(flip_log),
         congestion_grid=grid,
     )

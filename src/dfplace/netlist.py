@@ -230,12 +230,6 @@ class Netlist:
     outline: tuple[float, float]
     io_side: tuple[tuple[int, str], ...]  # (instance id, side), sorted by id
 
-    def io_side_of(self, inst_id: int) -> str | None:
-        for iid, side in self.io_side:
-            if iid == inst_id:
-                return side
-        return None
-
 
 @contextmanager
 def collector_paused():

@@ -88,7 +88,7 @@ class ClusteringConfig:
 @dataclass
 class ExtractionConfig:
     k: float = 1.0
-    fanout_limit: int = 32
+    fanout_limit: int = dataflow.DEFAULT_FANOUT_LIMIT
     name_filters: tuple[str, ...] = dataflow.DEFAULT_NAME_FILTERS
 
 
@@ -231,8 +231,8 @@ class StageTiming:
 
 def stage_seeds(seed: int) -> dict[str, int]:
     """Independent per-stage seeds so toggling one stage leaves others alone."""
-    children = np.random.SeedSequence(seed).spawn(3)
-    names = ("gp", "sa", "synth")
+    children = np.random.SeedSequence(seed).spawn(2)
+    names = ("gp", "sa")
     return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
 
 
@@ -357,9 +357,8 @@ def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineRe
     def sa_stage():
         cn = res.clustered
         outline = res.netlist.outline
-        shapes = placer.macro_shapes(cn)
-        ids = sorted(shapes)
-        sp = placer.SequencePair(tuple(range(len(ids))), tuple(range(len(ids))))
+        n = len(cn.macro_cluster_ids())
+        sp = placer.SequencePair(tuple(range(n)), tuple(range(n)))
         positions = res.cluster_positions
         sa_seed = seeds["sa"]
         for r in range(max(1, config.sa.rounds)):
@@ -373,7 +372,6 @@ def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineRe
                     res.graph, cn, outline, config.gp.iterations,
                     seeds["gp"] + r + 1, macro_refs=refs,
                 )
-                fp.cluster_positions = dict(positions)
         res.cluster_positions = positions
         res.sequence_pair = sp
         res.floorplan = fp
@@ -396,13 +394,13 @@ def run_pipeline(config: PipelineConfig, write_files: bool = True) -> PipelineRe
 
     def report_stage():
         fp = res.floorplan
-        bin_size = max(fp.outline) / max(1, config.metrics.bins)
+        bin_size = max(fp.outline) / config.metrics.bins
         res.report = metrics.emit_report(
-            fp, res.graph, timings=seconds, flip_log=res.flip_log,
+            fp, res.graph, flip_log=res.flip_log,
             loss=res.loss, bin_size=bin_size, capacity=config.metrics.capacity,
         )
         write("run.report.txt", res.report.to_text())
-        write("run.report.json", res.report.to_json(include_timings=False))
+        write("run.report.json", res.report.to_json())
         if config.metrics.dump_grid:
             write("run.congestion.csv", metrics.demand_csv(res.report.congestion_grid))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .dataflow import CATEGORY, CC, MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowGra
 from .errors import BadPermutation, EmptyGraph, UnplacedCluster
 
 ORIENT_FLAGS = {"N": (False, False), "FS": (True, False), "FN": (False, True), "S": (True, True)}
+ORIENT_BY_FLAGS = {flags: name for name, flags in ORIENT_FLAGS.items()}
 LOSS_VARIANTS = ("eq5", "eq6", "eq8")
 
 
@@ -29,28 +30,11 @@ class SequencePair:
     neg: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MacroShape:
-    """Rectangle footprint of a macro cluster with pin offsets (N orientation)."""
-
-    width: float
-    height: float
-    pins: tuple[tuple[float, float], ...]
-
-    def pin_offset(self, orientation: str = "N") -> tuple[float, float]:
-        """Pin center relative to the lower-left corner, mirrored per
-        ``ORIENT_FLAGS[orientation]``; the footprint center when pinless."""
-        if not self.pins:
-            cx, cy = self.width / 2.0, self.height / 2.0
-        else:
-            cx = sum(p[0] for p in self.pins) / len(self.pins)
-            cy = sum(p[1] for p in self.pins) / len(self.pins)
-        mx, my = ORIENT_FLAGS[orientation]
-        return (self.width - cx if mx else cx, self.height - cy if my else cy)
-
-
 @dataclass
 class MacroPlacement:
+    """A macro cluster's rectangle at lower-left (x, y), with its pin offsets
+    as seen in orientation N."""
+
     x: float
     y: float
     width: float
@@ -58,9 +42,21 @@ class MacroPlacement:
     orientation: str = "N"
     pins: tuple[tuple[float, float], ...] = ()
 
+    def pin_offset(self, orientation: str | None = None) -> tuple[float, float]:
+        """Pin center relative to the lower-left corner, mirrored per
+        ``ORIENT_FLAGS[orientation]`` (this macro's own orientation when
+        None); the footprint center when pinless."""
+        if not self.pins:
+            cx, cy = self.width / 2.0, self.height / 2.0
+        else:
+            cx = sum(p[0] for p in self.pins) / len(self.pins)
+            cy = sum(p[1] for p in self.pins) / len(self.pins)
+        mx, my = ORIENT_FLAGS[self.orientation if orientation is None else orientation]
+        return (self.width - cx if mx else cx, self.height - cy if my else cy)
+
     def pin_center(self) -> tuple[float, float]:
         """Absolute pin center under the current orientation."""
-        cx, cy = MacroShape(self.width, self.height, self.pins).pin_offset(self.orientation)
+        cx, cy = self.pin_offset()
         return (self.x + cx, self.y + cy)
 
     def center(self) -> tuple[float, float]:
@@ -112,21 +108,20 @@ def io_anchor_positions(cn: ClusteredNetlist, outline: tuple[float, float]) -> d
     return {c.id: at[c.hierarchy_root[1]] for c in cn.clusters if c.is_io}
 
 
-def macro_shapes(cn: ClusteredNetlist) -> dict[int, MacroShape]:
-    """Footprints for the real (non-IO) macro clusters.
+def macro_shapes(cn: ClusteredNetlist) -> dict[int, MacroPlacement]:
+    """Footprints for the real (non-IO) macro clusters, at the origin in N.
 
     Multi-macro clusters are laid out on a near-square grid in canonical
     member order; the cluster is one rigid rectangle from then on.
     """
     netlist = cn.netlist
-    shapes: dict[int, MacroShape] = {}
-    for c in cn.clusters:
-        if c.kind != "macro_cluster" or c.is_io:
-            continue
-        masters = [netlist.instances[i].master for i in c.members]
+    shapes: dict[int, MacroPlacement] = {}
+    for cid in cn.macro_cluster_ids():
+        masters = [netlist.instances[i].master for i in cn.clusters[cid].members]
         if len(masters) == 1:
             m = masters[0]
-            shapes[c.id] = MacroShape(m.width, m.height, tuple((dx, dy) for _, dx, dy in m.pin_offsets))
+            pins = tuple((dx, dy) for _, dx, dy in m.pin_offsets)
+            shapes[cid] = MacroPlacement(0.0, 0.0, m.width, m.height, "N", pins)
             continue
         cols = math.ceil(math.sqrt(len(masters)))
         rows = math.ceil(len(masters) / cols)
@@ -140,7 +135,7 @@ def macro_shapes(cn: ClusteredNetlist) -> dict[int, MacroShape]:
                 pins.extend((ox + dx, oy + dy) for _, dx, dy in m.pin_offsets)
             else:
                 pins.append((ox + m.width / 2.0, oy + m.height / 2.0))
-        shapes[c.id] = MacroShape(cols * cell_w, rows * cell_h, tuple(pins))
+        shapes[cid] = MacroPlacement(0.0, 0.0, cols * cell_w, rows * cell_h, "N", tuple(pins))
     return shapes
 
 
@@ -358,7 +353,7 @@ class _LossEvaluator:
 
 def macro_area_scales(cn: ClusteredNetlist) -> dict[int, float]:
     """Normalized area per real macro cluster (IO bundles stay neutral at 1)."""
-    ids = [c.id for c in cn.clusters if c.kind == "macro_cluster" and not c.is_io]
+    ids = cn.macro_cluster_ids()
     values = normalize_macro_area([cn.clusters[i].area for i in ids])
     return dict(zip(ids, values))
 
@@ -579,9 +574,6 @@ def run_sa(
             t *= schedule.cooling
 
     mx, my, _ = place(_index_of(best_pos), best_neg)
-    placements = {
-        cid: MacroPlacement(mx[i], my[i], ev.widths[i], ev.heights[i], "N", shapes[cid].pins)
-        for i, cid in enumerate(ids)
-    }
+    placements = {cid: replace(shapes[cid], x=mx[i], y=my[i]) for i, cid in enumerate(ids)}
     fp = Floorplan(outline, placements, dict(cluster_positions), anchors)
     return SequencePair(tuple(best_pos), tuple(best_neg)), fp, _breakdown(fp, graph, area_scale, config)

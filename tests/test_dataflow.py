@@ -127,7 +127,6 @@ def test_classify_cc_direction():
     assert len(cc) == 1
     assert cc[0].src == cn.cluster_of(0)  # direction kept: driver side first
     assert cc[0].dst == cn.cluster_of(1)
-    assert cc[0].directed
 
 
 # ---------------------------------------------------------------------------

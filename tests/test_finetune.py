@@ -7,23 +7,14 @@ import dfplace.finetune as finetune
 from dfplace import (
     decide_and_apply_flip,
     decompose_dataflow_vectors,
-    geometric_center,
     order_macros_for_flipping,
     run_flipping_pass,
     total_hpwl,
 )
 from dfplace.dataflow import CC, MC, MCC, MM_DIRECT, MM_INDIRECT, DataflowEdge, DataflowGraph
-from dfplace.errors import EmptyCluster
 from dfplace.finetune import FlipVector, compose_orientation
 from dfplace.metrics import category_hpwl
 from dfplace.placer import Floorplan, MacroPlacement, compute_loss
-
-
-def test_geometric_center():
-    assert geometric_center([(0, 0), (4, 2)]) == (2.0, 1.0)
-    assert geometric_center([(5, 5)]) == (5.0, 5.0)
-    with pytest.raises(EmptyCluster):
-        geometric_center([])
 
 
 def test_compose_orientation_group():

@@ -186,8 +186,8 @@ def test_report_rejects_bad_capacity(capacity):
 
 def test_report_json_round_trip_and_determinism():
     fp, g = report_scene()
-    rep1 = emit_report(fp, g, timings={"sa": 1.0}, loss=LossBreakdown(total=5.0))
-    rep2 = emit_report(fp, g, timings={"sa": 1.0}, loss=LossBreakdown(total=5.0))
+    rep1 = emit_report(fp, g, loss=LossBreakdown(total=5.0))
+    rep2 = emit_report(fp, g, loss=LossBreakdown(total=5.0))
     assert rep1.to_json() == rep2.to_json()
     parsed = json.loads(rep1.to_json())
     assert json.dumps(parsed, indent=2, sort_keys=True) == rep1.to_json()

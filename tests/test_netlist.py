@@ -392,7 +392,7 @@ def test_verilog_hierarchy_and_ports():
     assert g1.hierarchy_path == ("top", "u_a")
     assert names["top/u_mem"].hierarchy_path == ("top",)
     assert names["clk_in"].master.kind == "io_pad"
-    assert nl.io_side_of(names["clk_in"].id) == "W"
+    assert dict(nl.io_side)[names["clk_in"].id] == "W"
     # the pad drives the clk_in net because the port is an input
     clk_nets = [n for n in nl.nets if n.driver == (names["clk_in"].id, "p")]
     assert len(clk_nets) == 1

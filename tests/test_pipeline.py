@@ -6,8 +6,8 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
-from dfplace import generate_design, random_netlist, render_svg, run_pipeline, serialize_netlist
-from dfplace.cli import main as cli_main
+from dfplace import errors, generate_design, random_netlist, render_svg, run_pipeline, serialize_netlist
+from dfplace.cli import _exit_code, main as cli_main
 from dfplace.dataflow import DataflowGraph
 from dfplace.errors import ConfigError, DanglingPin, MalformedDocument, PipelineStageError
 from dfplace.pipeline import PipelineConfig, StageTiming, load_config, stage_seeds
@@ -354,6 +354,37 @@ def test_cli_fuzzed_config_never_exits_7(tmp_path, monkeypatch, capsys):
         assert code in (0, 2, 3, 4, 5, 6), (cfg, err)
         codes[code] = codes.get(code, 0) + 1
     assert min(codes.get(0, 0), codes.get(2, 0)) > 10, codes  # runs, and rejects
+
+
+# each error class's documented exit code (the cli docstring and README)
+DOCUMENTED_EXIT_CODES = {
+    "ConfigError": 2,
+    **dict.fromkeys(("InputError", "MalformedDocument", "MissingInstances", "DanglingPin",
+                     "DuplicateName", "BadOutline", "UnsupportedConstruct", "UnknownMaster"), 4),
+    "ThresholdConflict": 5,
+    **dict.fromkeys(("PlacementError", "DegenerateCluster", "EmptyGraph", "BadPermutation",
+                     "UnplacedCluster", "EmptyPointSet"), 6),
+}
+
+
+def test_every_error_class_maps_to_its_documented_exit_code():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.DfplaceError)
+               and c not in (errors.DfplaceError, errors.PipelineStageError)]
+    assert sorted(c.__name__ for c in classes) == sorted(DOCUMENTED_EXIT_CODES)
+    cases = [(c("x"), DOCUMENTED_EXIT_CODES[c.__name__]) for c in classes]
+    cases += [(FileNotFoundError("x"), 3), (IsADirectoryError("x"), 3),
+              (NotADirectoryError("x"), 3), (ValueError("x"), 7)]
+    for exc, code in cases:
+        assert _exit_code(exc) == code, exc
+        assert _exit_code(errors.PipelineStageError("sa", exc)) == code, exc
+
+
+def test_cli_threshold_conflict_exit_code(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fast_config(tmp_path, clustering={"min_cells": 10, "max_cells": 5})))
+    assert cli_main(["place", str(path)]) == 5
+    assert "stage 'cluster': cell thresholds must satisfy 0 < min < max" in capsys.readouterr().err
 
 
 def test_cli_missing_config_exit_code(tmp_path):

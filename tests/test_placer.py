@@ -23,7 +23,6 @@ from dfplace.placer import (
     ORIENT_FLAGS,
     Floorplan,
     MacroPlacement,
-    MacroShape,
     PlacerConfig,
     SaSchedule,
     SequencePair,
@@ -255,7 +254,7 @@ def random_loss_scene(seed):
         w, h = (float(v) for v in rng.uniform(1, 8, 2))
         k = 0 if cid % 3 == 0 else int(rng.integers(1, 4))
         pins = tuple((float(rng.uniform(0, w)), float(rng.uniform(0, h))) for _ in range(k))
-        shapes[cid] = MacroShape(w, h, pins)
+        shapes[cid] = MacroPlacement(0.0, 0.0, w, h, "N", pins)
     side = math.sqrt(sum(s.width * s.height for s in shapes.values())) * rng.choice([0.8, 1.5, 3.0])
     outline = (float(side), float(side * rng.uniform(0.7, 1.3)))
     cells = {n + k: tuple(float(v) for v in rng.uniform(0, side, 2)) for k in range(4)}
